@@ -21,6 +21,7 @@ from .dynamics import (
     BlochState,
     DegenerateSteadyStateError,
     NoRelaxationError,
+    PhysicalityError,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -62,6 +63,7 @@ __all__ = [
     "BlochState",
     "DegenerateSteadyStateError",
     "NoRelaxationError",
+    "PhysicalityError",
     "build_adjoint_generator",
     "dual_generator",
     "excited_state",

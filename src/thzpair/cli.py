@@ -1,8 +1,8 @@
 """Command-line interface: steady states, sweeps, correlations, verification.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical/physical
-degeneracy (no unique steady state, dark channel, failed verification),
-3 sweep finished with failed grid points.
+degeneracy (no unique steady state, dark channel, unphysical state, failed
+verification), 3 sweep finished with failed grid points.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ EXIT_DEGENERATE = 2
 EXIT_PARTIAL_SWEEP = 3
 
 CSV_HEADER = "omega_rabi,sz,p2,g12,g21,cs_lhs,cs_rhs,violated,pair_freq"
+
+# A solve that fails on its numerics or physics rather than on its input.
+_DEGENERATE = (
+    dynamics.DegenerateSteadyStateError,
+    dynamics.NoRelaxationError,
+    dynamics.PhysicalityError,
+    correlations.ChannelDarkError,
+)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
 def _sweep_point_guarded(base: model.PhysicalParams, omega: float) -> SweepRow:
     try:
         return _sweep_point(base, omega)
-    except Exception:
+    except (ValueError, *_DEGENERATE):  # ValueError includes ConfigError and LinAlgError
         nan = float("nan")
         return SweepRow(omega, nan, nan, nan, nan, nan, nan, False, nan, failed=True)
 
@@ -321,19 +329,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except model.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        dynamics.DegenerateSteadyStateError,
-        dynamics.NoRelaxationError,
-        correlations.ChannelDarkError,
-    ) as exc:
+    except _DEGENERATE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ValueError as exc:  # ConfigError and any other invalid input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     HS_BASIS,
@@ -43,6 +42,7 @@ __all__ = [
     "BlochState",
     "DegenerateSteadyStateError",
     "NoRelaxationError",
+    "PhysicalityError",
     "build_adjoint_generator",
     "dual_generator",
     "steady_state",
@@ -65,6 +65,10 @@ class NoRelaxationError(RuntimeError):
     """All dissipative channel weights vanish; no steady state is selected."""
 
 
+class PhysicalityError(ValueError):
+    """A density matrix breaks trace, Hermiticity or population bounds."""
+
+
 @dataclass(frozen=True)
 class BlochState:
     """Density matrix of the emitter with its expectation-value view."""
@@ -79,13 +83,13 @@ class BlochState:
         object.__setattr__(self, "rho", rho)
         tr = np.trace(rho)
         if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"Tr rho = {tr:.15g} differs from 1 beyond {TRACE_TOL}")
+            raise PhysicalityError(f"Tr rho = {tr:.15g} differs from 1 beyond {TRACE_TOL}")
         if abs(self.s_minus - np.conj(self.s_plus)) > CONJ_TOL:
-            raise ValueError("<S-> is not the conjugate of <S+> (rho not Hermitian)")
+            raise PhysicalityError("<S-> is not the conjugate of <S+> (rho not Hermitian)")
         if abs(np.trace(rho @ SZ).imag) > CONJ_TOL:
-            raise ValueError("<S_z> has a non-negligible imaginary part")
+            raise PhysicalityError("<S_z> has a non-negligible imaginary part")
         if not (-0.5 - SZ_BOUND_TOL <= self.s_z <= 0.5 + SZ_BOUND_TOL):
-            raise ValueError(f"<S_z> = {self.s_z:.15g} outside [-1/2, 1/2]")
+            raise PhysicalityError(f"<S_z> = {self.s_z:.15g} outside [-1/2, 1/2]")
 
     @property
     def s_plus(self) -> complex:
@@ -266,6 +270,17 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     rho = PROJ_GROUND + hs_reconstruct(delta)
     rho = 0.5 * (rho + dagger(rho))  # scrub solver roundoff off the Hermitian part
     return BlochState(rho)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential (scipy.linalg.expm).
+
+    scipy.linalg is imported on the first call, not with the package: it is
+    most of the package's import time and only propagation needs it.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:

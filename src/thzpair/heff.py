@@ -10,17 +10,21 @@ lab Hamiltonian:
     H = w_k a^dag a + w_0 S_z + Omega (S+ + S-) cos(w_L t)
         + G S_z cos(w_L t) + i g (a^dag - a)(S+ + S-)
 
-Hamiltonians are kept as sums of terms with an integer harmonic n meaning a
-time dependence e^{i n w_L t}.  Rotating by H0 = w_L (a^dag a + S_z) shifts
-matrix elements between harmonics; the oscillating remainder H'' feeds the
-second-order average -i H'' * Int[H''] with Int[e^{i n w t}] = e^{i n w t} /
-(i n w), Hermitized.  Agreement of the extracted coefficients across mode
-truncations N = 2, 3, 4 shows only single-photon processes contribute.
+A Hamiltonian is a dict {n: M_n} meaning sum_n M_n e^{i n w_L t}, with each
+M_n a matrix on the atom (x) mode space of dimension 2(N+1); the mode
+truncation N is read off the matrix shape.  Rotating by
+H0 = w_L (a^dag a + S_z) shifts matrix elements between harmonics; the
+oscillating remainder H'' feeds the second-order average -i H'' * Int[H'']
+with Int[e^{i n w t}] = e^{i n w t} / (i n w), Hermitized.  Agreement of the
+extracted coefficients across mode truncations N = 2, 3, 4 shows only
+single-photon processes contribute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +32,10 @@ from .algebra import ID, SM, SP, SZ, dagger
 from .model import EffectiveModel, PhysicalParams
 
 __all__ = [
-    "HarmonicTerm",
-    "HarmonicSum",
     "CoefficientCheck",
     "HeffReport",
     "build_lab_hamiltonian",
+    "hermiticity_defect",
     "rotate_frame",
     "second_order_average",
     "compare_to_target",
@@ -40,84 +43,68 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HarmonicTerm:
-    """amplitude * op * e^{i harmonic w_L t} on the atom (x) mode space."""
+class _Ops(NamedTuple):
+    """Read-only operators on the atom (x) mode space for one truncation."""
 
-    op: np.ndarray
-    amplitude: complex
-    harmonic: int
-
-    def __post_init__(self):
-        m = np.array(self.op, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "op", m)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.amplitude * self.op
+    number: np.ndarray  # 1 (x) a^dag a
+    sz: np.ndarray  # S_z (x) 1
+    sx: np.ndarray  # (S+ + S-) (x) 1
+    coupling: np.ndarray  # (S+ + S-) (x) (a^dag - a)
+    pair: np.ndarray  # S+ (x) a^dag
+    displacement: np.ndarray  # S_z (x) (a - a^dag)
+    shift: np.ndarray  # excitation change k_r - k_c of element (r, c)
+    masks: dict  # shift value -> boolean mask of the elements with it
 
 
-@dataclass(frozen=True)
-class HarmonicSum:
-    """A Hamiltonian as a list of harmonics; dims = (2, N+1)."""
-
-    terms: tuple
-    omegaL: float
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        dim = self.dims[0] * self.dims[1]
-        for t in self.terms:
-            if t.op.shape != (dim, dim):
-                raise ValueError(
-                    f"term matrix {t.op.shape} does not match dims {self.dims}"
-                )
-
-    def collected(self) -> dict:
-        """Summed matrix per harmonic, keys sorted ascending."""
-        acc: dict = {}
-        key = lambda t: (t.harmonic, t.op.tobytes())  # noqa: E731 - stable order
-        for t in sorted(self.terms, key=key):
-            acc.setdefault(t.harmonic, []).append(t.matrix)
-        return {n: sum(ms) for n, ms in sorted(acc.items())}
-
-    def static_part(self) -> "HarmonicSum":
-        return HarmonicSum(
-            tuple(t for t in self.terms if t.harmonic == 0), self.omegaL, self.dims
-        )
-
-    def oscillating_part(self) -> "HarmonicSum":
-        return HarmonicSum(
-            tuple(t for t in self.terms if t.harmonic != 0), self.omegaL, self.dims
-        )
-
-    def hermiticity_defect(self) -> float:
-        """max_n || M_n - M_{-n}^dag ||_max; zero for a Hermitian Hamiltonian."""
-        coll = self.collected()
-        dim = self.dims[0] * self.dims[1]
-        zero = np.zeros((dim, dim), dtype=complex)
-        defect = 0.0
-        for n, m in coll.items():
-            partner = coll.get(-n, zero)
-            defect = max(defect, float(np.max(np.abs(m - dagger(partner)))))
-        return defect
-
-
-def _mode_ops(n_trunc: int):
-    """Truncated annihilation operator and number operator, (N+1)x(N+1)."""
+@lru_cache(maxsize=8)
+def _ops(n_trunc: int) -> _Ops:
     a = np.diag(np.sqrt(np.arange(1.0, n_trunc + 1)), k=1).astype(complex)
-    return a, dagger(a) @ a
+    eye = np.eye(n_trunc + 1, dtype=complex)
+    sx = SP + SM
+    number = np.kron(ID, dagger(a) @ a)
+    sz = np.kron(SZ, eye)
+    k = np.real(np.diag(number + sz))
+    shift = np.rint(k[:, None] - k[None, :]).astype(int)
+    ops = _Ops(
+        number, sz, np.kron(sx, eye), np.kron(sx, dagger(a) - a),
+        np.kron(SP, dagger(a)), np.kron(SZ, a - dagger(a)), shift,
+        {int(d): shift == d for d in np.unique(shift)},
+    )
+    for m in (*ops[:-1], *ops.masks.values()):
+        m.setflags(write=False)
+    return ops
 
 
-def _atom(op: np.ndarray, n_trunc: int) -> np.ndarray:
-    return np.kron(op, np.eye(n_trunc + 1, dtype=complex))
+def _mode_truncation(h: dict) -> int:
+    """N such that every matrix of h is 2(N+1) x 2(N+1)."""
+    shapes = {np.shape(m) for m in h.values()}
+    if len(shapes) == 1:
+        (shape,) = shapes
+        dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+        if dim >= 2 and dim % 2 == 0:
+            return dim // 2 - 1
+    raise ValueError(
+        f"matrix shapes {sorted(shapes)} do not match one atom (x) mode space"
+    )
+
+
+def _accumulate(acc: dict, n: int, m: np.ndarray) -> None:
+    acc[n] = acc[n] + m if n in acc else m
+
+
+def hermiticity_defect(h: dict) -> float:
+    """max_n || M_n - M_{-n}^dag ||_max; zero for a Hermitian Hamiltonian."""
+    defect = 0.0
+    for n, m in h.items():
+        partner = h.get(-n)
+        diff = m if partner is None else m - dagger(partner)
+        defect = max(defect, float(np.max(np.abs(diff))))
+    return defect
 
 
 def build_lab_hamiltonian(
     params: PhysicalParams, n_trunc: int, mode_freq: float, coupling: float
-) -> HarmonicSum:
+) -> dict:
     """Single-mode lab Hamiltonian with the cosine drive split into e^{+-i w_L t}.
 
     Kronecker ordering is atom (x) mode.  n_trunc must be >= 2 so that the
@@ -125,91 +112,69 @@ def build_lab_hamiltonian(
     """
     if n_trunc < 2:
         raise ValueError(f"mode truncation must be >= 2, got {n_trunc}")
-    a, nhat = _mode_ops(n_trunc)
-    eye_m = np.eye(n_trunc + 1, dtype=complex)
-    sx = SP + SM
-    terms = [
-        HarmonicTerm(np.kron(ID, nhat), mode_freq, 0),
-        HarmonicTerm(_atom(SZ, n_trunc), params.omega0, 0),
-        # drive on the transition dipole, cos(w_L t) = (e^{iwt} + e^{-iwt})/2
-        HarmonicTerm(_atom(sx, n_trunc), 0.5 * params.rabi, +1),
-        HarmonicTerm(_atom(sx, n_trunc), 0.5 * params.rabi, -1),
-        # drive on the permanent-dipole asymmetry
-        HarmonicTerm(_atom(SZ, n_trunc), 0.5 * params.g_asym, +1),
-        HarmonicTerm(_atom(SZ, n_trunc), 0.5 * params.g_asym, -1),
-        # full (non-rotating-wave) atom-field coupling i g (a^dag - a)(S+ + S-)
-        HarmonicTerm(np.kron(sx, dagger(a) - a), 1j * coupling, 0),
-    ]
-    return HarmonicSum(tuple(terms), params.omegaL, (2, n_trunc + 1))
+    ops = _ops(n_trunc)
+    # full (non-rotating-wave) atom-field coupling i g (a^dag - a)(S+ + S-)
+    static = mode_freq * ops.number + params.omega0 * ops.sz + 1j * coupling * ops.coupling
+    # transition-dipole and asymmetry drives, cos(w_L t) = (e^{iwt} + e^{-iwt})/2
+    drive = 0.5 * params.rabi * ops.sx + 0.5 * params.g_asym * ops.sz
+    return {-1: drive.copy(), 0: static, 1: drive}
 
 
-def rotate_frame(h: HarmonicSum) -> HarmonicSum:
+def rotate_frame(h: dict, omegaL: float) -> dict:
     """Interaction picture of H0 = w_L (a^dag a + S_z).
 
     H0 is diagonal with integer-spaced spectrum, so conjugation by
     e^{i H0 t} moves the matrix element (r, c) of any operator up by
     k_r - k_c harmonics, where k is the excitation number n + s_z.
-    H0 itself is subtracted before rotating.
+    H0 itself is subtracted before rotating; harmonics that receive no
+    nonzero element are left out.
     """
-    n_trunc = h.dims[1] - 1
-    _, nhat = _mode_ops(n_trunc)
-    excitation = np.kron(ID, nhat) + _atom(SZ, n_trunc)
-    k = np.real(np.diag(excitation))
-    shift = np.rint(k[:, None] - k[None, :]).astype(int)
-
-    work = list(h.terms) + [
-        HarmonicTerm(np.kron(ID, nhat), -h.omegaL, 0),
-        HarmonicTerm(_atom(SZ, n_trunc), -h.omegaL, 0),
-    ]
-    out = []
-    for t in work:
-        m = t.matrix
-        for delta in np.unique(shift):
-            block = np.where(shift == delta, m, 0.0)
-            if np.any(block != 0.0):
-                out.append(HarmonicTerm(block, 1.0, t.harmonic + int(delta)))
-    return HarmonicSum(tuple(out), h.omegaL, h.dims)
+    ops = _ops(_mode_truncation(h))
+    work = dict(h)
+    work[0] = work.get(0, 0.0) - omegaL * ops.number - omegaL * ops.sz
+    out: dict = {}
+    for n, m in work.items():
+        for delta in np.unique(ops.shift[m != 0.0]):
+            _accumulate(out, n + int(delta), np.where(ops.masks[int(delta)], m, 0.0))
+    return dict(sorted(out.items()))
 
 
 def second_order_average(
-    h_osc: HarmonicSum, keep_max_harmonic: int = 1, return_discarded: bool = False
+    h_osc: dict, omegaL: float, keep_max_harmonic: int = 1, return_discarded: bool = False
 ):
     """-i H'' Int[H''] dt with the oscillatory antiderivative, Hermitized.
 
-    Every pairwise product term_a * Int[term_b] is formed; products whose
-    total harmonic exceeds keep_max_harmonic in magnitude are split off into
-    the discarded sum (returned on request so nothing is silently lost).
-    The antiderivative constant is zero -- a nonzero choice would introduce
-    secular growth, which is why static input terms are rejected.
+    One product M_a Int[M_b] is formed per pair of harmonics; harmonics whose
+    magnitude exceeds keep_max_harmonic are split off into the discarded
+    dict (returned on request so nothing is silently lost).  The
+    antiderivative constant is zero -- a nonzero choice would introduce
+    secular growth, which is why a static input harmonic is rejected.
     """
-    if any(t.harmonic == 0 for t in h_osc.terms):
+    if 0 in h_osc:
         raise ValueError("static input term: second-order average would be secular")
-    kept = []
-    discarded = []
-    for ta in h_osc.terms:
-        for tb in h_osc.terms:
-            # -i * A_a e^{i na w t} * A_b e^{i nb w t} / (i nb w)
-            amp = -ta.amplitude * tb.amplitude / (tb.harmonic * h_osc.omegaL)
-            term = HarmonicTerm(ta.op @ tb.op, amp, ta.harmonic + tb.harmonic)
-            (kept if abs(term.harmonic) <= keep_max_harmonic else discarded).append(
-                term
-            )
-
-    def hermitized(terms):
-        sym = []
-        for t in terms:
-            sym.append(HarmonicTerm(t.op, 0.5 * t.amplitude, t.harmonic))
-            sym.append(
-                HarmonicTerm(dagger(t.op), 0.5 * np.conj(t.amplitude), -t.harmonic)
-            )
-        return HarmonicSum(tuple(sym), h_osc.omegaL, h_osc.dims)
-
+    dim = 2 * (_mode_truncation(h_osc) + 1) if h_osc else 0
+    zero = np.zeros((dim, dim), dtype=complex)
+    products: dict = {}
+    items = list(h_osc.items())
+    for i, (na, ma) in enumerate(items):
+        for nb, mb in items[i:]:
+            # -i * M_a e^{i na w t} * M_b e^{i nb w t} / (i nb w), summed with
+            # its mirror (b, a) first: for nb = -na the pair is a commutator,
+            # and large commuting parts (the S_z drive squared) cancel exactly
+            p = (ma @ mb) * (-1.0 / (nb * omegaL))
+            if nb != na:
+                p = p + (mb @ ma) * (-1.0 / (na * omegaL))
+            _accumulate(products, na + nb, p)
+    kept, discarded = {}, {}
+    for n in sorted(products.keys() | {-k for k in products}):
+        sym = 0.5 * (products.get(n, zero) + dagger(products.get(-n, zero)))
+        (kept if abs(n) <= keep_max_harmonic else discarded)[n] = sym
     if return_discarded:
-        return hermitized(kept), hermitized(discarded)
-    return hermitized(kept)
+        return kept, discarded
+    return kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientCheck:
     """One extracted coefficient against its closed-form target."""
 
@@ -217,10 +182,18 @@ class CoefficientCheck:
     measured: complex
     target: complex
     deviation: float
-    note: str = ""
+
+    @property
+    def note(self) -> str:
+        """Why the comparison is structural rather than numerical, else ""."""
+        if self.target == 0 and self.measured != 0:
+            return "expected exactly zero"
+        if self.measured == 0 and self.target != 0:
+            return "operator pattern missing from the averaged Hamiltonian"
+        return ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeffReport:
     checks: tuple
 
@@ -234,14 +207,10 @@ class HeffReport:
 
 def _project(matrix: np.ndarray, pattern: np.ndarray) -> complex:
     """Hilbert-Schmidt coefficient of `pattern` inside `matrix`."""
-    return complex(
-        np.trace(dagger(pattern) @ matrix) / np.trace(dagger(pattern) @ pattern)
-    )
+    return complex(np.vdot(pattern, matrix) / np.vdot(pattern, pattern))
 
 
-def compare_to_target(
-    derived: HarmonicSum, model: EffectiveModel, coupling: float
-) -> HeffReport:
+def compare_to_target(derived: dict, model: EffectiveModel, coupling: float) -> HeffReport:
     """Extract the three averaged coefficients and compare to closed forms.
 
     Patterns and expected values (the pair and displacement terms carry the
@@ -250,53 +219,34 @@ def compare_to_target(
       * a^dag S+        harmonic +1 -> -i * 3 G g / (8 w_L)
       * (a - a^dag) S_z static      -> -i * Omega g / (2 w_L)
     """
-    n_trunc = derived.dims[1] - 1
-    a, _ = _mode_ops(n_trunc)
-    dim = derived.dims[0] * derived.dims[1]
-    zero = np.zeros((dim, dim), dtype=complex)
-    collected = derived.collected()
-    static = collected.get(0, zero)
-    first = collected.get(+1, zero)
+    ops = _ops(_mode_truncation(derived))
+    zero = np.zeros_like(ops.sz)
+    static = derived.get(0, zero)
+    first = derived.get(+1, zero)
 
     omega, g_asym, w_l = model.omega_rabi, model.g_asym, model.omegaL
     cases = (
-        (
-            "bloch_siegert",
-            static,
-            _atom(SZ, n_trunc),
-            omega * omega / (4.0 * w_l),
-        ),
-        (
-            "pair_creation",
-            first,
-            np.kron(SP, dagger(a)),
-            -1j * 3.0 * g_asym * coupling / (8.0 * w_l),
-        ),
-        (
-            "mode_displacement",
-            static,
-            np.kron(SZ, a - dagger(a)),
-            -1j * omega * coupling / (2.0 * w_l),
-        ),
+        ("bloch_siegert", static, ops.sz, omega * omega / (4.0 * w_l)),
+        ("pair_creation", first, ops.pair, -1j * 3.0 * g_asym * coupling / (8.0 * w_l)),
+        ("mode_displacement", static, ops.displacement,
+         -1j * omega * coupling / (2.0 * w_l)),
     )
     checks = []
     for name, matrix, pattern, target in cases:
         measured = _project(matrix, pattern)
         if target == 0:
             deviation = 0.0 if measured == 0 else float("inf")
-            note = "" if measured == 0 else "expected exactly zero"
         else:
             deviation = abs(measured - target) / abs(target)
-            note = ""
-        if measured == 0 and target != 0:
-            note = "operator pattern missing from the averaged Hamiltonian"
-        checks.append(CoefficientCheck(name, measured, complex(target), deviation, note))
+        checks.append(CoefficientCheck(name, measured, complex(target), deviation))
     return HeffReport(tuple(checks))
 
 
 def _averaged(params: PhysicalParams, n_trunc: int, mode_freq: float, coupling: float):
     lab = build_lab_hamiltonian(params, n_trunc, mode_freq, coupling)
-    return second_order_average(rotate_frame(lab).oscillating_part())
+    oscillating = rotate_frame(lab, params.omegaL)
+    oscillating.pop(0, None)
+    return second_order_average(oscillating, params.omegaL)
 
 
 def verify_derivation(

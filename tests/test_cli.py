@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from thzpair import cli
+from thzpair import cli, dynamics
 from thzpair.model import ConfigError, preset
 
 
@@ -122,6 +122,18 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     assert not any("nan" in line for line in lines[1:4])  # weak-drive rows fine
 
 
+def test_sweep_propagates_programming_errors(monkeypatch):
+    """Only numerical and physical failures become failed rows; a bug does not."""
+
+    def broken(params):
+        raise TypeError("not a sweep-point failure")
+
+    monkeypatch.setattr(cli.model, "from_physical", broken)
+    spec = cli.SweepSpec(base=preset("gamma-globulin"), points=3)
+    with pytest.raises(TypeError, match="not a sweep-point failure"):
+        cli.run_sweep(spec)
+
+
 def test_sweep_rejects_bad_grid(tmp_path):
     out = tmp_path / "x.csv"
     rc = cli.main(["sweep", "--preset", "gamma-globulin", "--output", str(out),
@@ -164,6 +176,15 @@ def test_steady_rabi_flag_replaces_config_field_route(tmp_path, capsys):
     # --rabi must not clash with the config's field route; it replaces it
     assert cli.main(["steady", "--config", str(cfg), "--rabi", "1e13"]) == 0
     assert "omega_rabi   = 1e+13" in capsys.readouterr().out
+
+
+def test_unphysical_solve_exits_2(monkeypatch, capsys):
+    """A state that breaks a density-matrix invariant inside a solve is a
+    numerical failure (exit 2), not a configuration error (exit 1)."""
+    monkeypatch.setattr(dynamics, "TRACE_TOL", -1.0)  # every trace now fails
+    rc = cli.main(["steady", "--preset", "gamma-globulin", "--rabi", "1e13"])
+    assert rc == cli.EXIT_DEGENERATE
+    assert "Tr rho" in capsys.readouterr().err
 
 
 # --- correlate --------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Generator construction, steady states, and time evolution."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -10,6 +13,7 @@ from thzpair.dynamics import (
     BlochState,
     DegenerateSteadyStateError,
     NoRelaxationError,
+    PhysicalityError,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -276,6 +280,14 @@ def test_negative_time_rejected():
         propagate_dual(g, SP, -1.0)
 
 
+def test_import_does_not_load_scipy():
+    """scipy.linalg is imported by the first propagation, not by the package."""
+    code = "import sys, thzpair; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_propagate_dual_handles_unnormalized_operators():
     """The dual flow acts on arbitrary operators, not just states."""
     g = strong_drive_generator()
@@ -299,11 +311,11 @@ def test_reference_states():
 def test_bloch_state_validation():
     with pytest.raises(ValueError, match="2x2"):
         BlochState(np.eye(3))
-    with pytest.raises(ValueError, match="Tr rho"):
+    with pytest.raises(PhysicalityError, match="Tr rho"):
         BlochState(np.diag([0.7, 0.7]))
-    with pytest.raises(ValueError, match="conjugate"):
+    with pytest.raises(PhysicalityError, match="conjugate"):
         BlochState(np.array([[0.5, 0.3], [0.1, 0.5]]))
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(PhysicalityError, match="outside"):
         BlochState(np.diag([-0.2, 1.2]))
     with pytest.raises(ValueError):
         ground_state().rho[0, 0] = 5.0  # frozen array

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from thzpair.algebra import SM, SP, SZ, dagger
+from thzpair.algebra import SP, SZ, dagger
 from thzpair.heff import (
-    HarmonicSum,
-    HarmonicTerm,
     HeffReport,
     build_lab_hamiltonian,
     compare_to_target,
+    hermiticity_defect,
     rotate_frame,
     second_order_average,
     verify_derivation,
@@ -22,32 +21,57 @@ def working_point():
     return params, from_physical(params)
 
 
-# --- harmonic containers -----------------------------------------------------
+def oscillating(params, n_trunc, mode_freq, coupling):
+    """Rotated lab Hamiltonian without its static harmonic."""
+    lab = build_lab_hamiltonian(params, n_trunc, mode_freq, coupling)
+    rot = rotate_frame(lab, params.omegaL)
+    return {n: m for n, m in rot.items() if n != 0}
 
 
-def test_harmonic_term_matrix():
-    t = HarmonicTerm(op=np.kron(SP, np.eye(3)), amplitude=2.5j, harmonic=-1)
-    assert np.array_equal(t.matrix, 2.5j * np.kron(SP, np.eye(3)))
-    with pytest.raises(ValueError):
-        t.op[0, 0] = 1.0  # frozen
+# --- Hamiltonians as {harmonic: matrix} ----------------------------------------
 
 
-def test_harmonic_sum_rejects_dimension_mismatch():
-    t = HarmonicTerm(op=np.eye(4), amplitude=1.0, harmonic=0)
-    with pytest.raises(ValueError, match="does not match dims"):
-        HarmonicSum(terms=(t,), omegaL=1.0, dims=(2, 3))
+def test_shape_mismatch_is_rejected():
+    """Every matrix must live on one atom (x) mode space of dimension 2(N+1)."""
+    with pytest.raises(ValueError, match="do not match"):
+        rotate_frame({0: np.eye(4), 1: np.eye(6)}, 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        rotate_frame({0: np.eye(3)}, 1.0)
+    with pytest.raises(ValueError, match="do not match"):
+        second_order_average({1: np.eye(6), -1: np.eye(8)}, 1.0)
+    _, model = working_point()
+    with pytest.raises(ValueError, match="do not match"):
+        compare_to_target({0: np.ones((6, 4))}, model, 1e9)
+
+
+def test_hermiticity_defect():
+    m = np.kron(SP, np.eye(3))
+    assert hermiticity_defect({1: m, -1: dagger(m)}) == 0.0
+    assert hermiticity_defect({1: m}) == 1.0  # partner at -1 missing
+    assert hermiticity_defect({0: 2.5j * np.eye(6)}) == 5.0
 
 
 def test_lab_hamiltonian_structure():
     params, model = working_point()
     lab = build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)
-    assert lab.dims == (2, 4)
-    assert lab.hermiticity_defect() == 0.0
-    assert sorted(lab.collected()) == [-1, 0, 1]
+    assert {m.shape for m in lab.values()} == {(8, 8)}
+    assert hermiticity_defect(lab) == 0.0
+    assert sorted(lab) == [-1, 0, 1]
     # cos(w_L t) drive splits evenly between the +-1 harmonics
-    plus = lab.collected()[+1]
-    minus = lab.collected()[-1]
-    assert np.array_equal(plus, dagger(minus))
+    assert np.array_equal(lab[+1], dagger(lab[-1]))
+
+
+def test_lab_hamiltonian_does_not_share_cached_operators():
+    """The operators behind a build are cached per truncation; a caller that
+    edits the returned matrices must not change the next build."""
+    params, model = working_point()
+    first = build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)
+    expected = {n: m.copy() for n, m in first.items()}
+    first[0] += 1.0
+    first[1] += 1.0
+    assert np.array_equal(first[-1], expected[-1])  # the +-1 drives are separate arrays
+    again = build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)
+    assert all(np.array_equal(again[n], expected[n]) for n in expected)
 
 
 def test_lab_hamiltonian_truncation_guard():
@@ -62,15 +86,12 @@ def test_rotated_frame_harmonics():
     the non-rotating-wave coupling spreads over {-2, 0, +2}."""
     params, model = working_point()
     lab = build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)
-    rot = rotate_frame(lab)
-    assert sorted(rot.collected()) == [-2, -1, 0, 1, 2]
-    assert rot.hermiticity_defect() < 1e-9  # exact amplitudes, only reshuffled
-    assert all(t.harmonic != 0 for t in rot.oscillating_part().terms)
-    assert all(t.harmonic == 0 for t in rot.static_part().terms)
+    rot = rotate_frame(lab, params.omegaL)
+    assert sorted(rot) == [-2, -1, 0, 1, 2]
+    assert hermiticity_defect(rot) < 1e-9  # exact amplitudes, only reshuffled
     # the static part carries the laser detuning of the transition
-    static = rot.static_part().collected()[0]
     pattern = np.kron(SZ, np.eye(4))
-    coeff = np.trace(dagger(pattern) @ static) / np.trace(dagger(pattern) @ pattern)
+    coeff = np.trace(dagger(pattern) @ rot[0]) / np.trace(dagger(pattern) @ pattern)
     assert coeff == pytest.approx(params.omega0 - params.omegaL, rel=1e-14)
 
 
@@ -81,38 +102,35 @@ def test_average_rejects_static_input():
     params, model = working_point()
     lab = build_lab_hamiltonian(params, 2, model.pair_freq, 1e9)
     with pytest.raises(ValueError, match="secular"):
-        second_order_average(rotate_frame(lab))  # static part still included
+        second_order_average(rotate_frame(lab, params.omegaL), params.omegaL)
 
 
 def test_average_of_nothing_is_empty():
-    out = second_order_average(HarmonicSum(terms=(), omegaL=5e15, dims=(2, 3)))
-    assert out.terms == ()
+    assert second_order_average({}, 5e15) == {}
+    assert second_order_average({}, 5e15, return_discarded=True) == ({}, {})
 
 
 def test_average_is_hermitian():
     params, model = working_point()
-    osc = rotate_frame(build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)).oscillating_part()
-    avg = second_order_average(osc)
-    scale = max(np.max(np.abs(m)) for m in avg.collected().values())
-    # each +n term carries an exact dagger partner at -n; only the summation
-    # order inside a harmonic differs, so the defect is rounding-sized
-    assert avg.hermiticity_defect() <= 1e-12 * scale
+    avg = second_order_average(oscillating(params, 3, model.pair_freq, 1e9), params.omegaL)
+    # each harmonic n is 0.5 (P_n + P_{-n}^dag) and its partner the same sum
+    # conjugated, so the defect vanishes exactly
+    assert hermiticity_defect(avg) == 0.0
 
 
 def test_average_bookkeeping_is_lossless():
-    """kept + discarded reproduces the unrestricted product sum exactly."""
+    """kept + discarded reproduces the unrestricted average exactly."""
     params, model = working_point()
-    osc = rotate_frame(build_lab_hamiltonian(params, 3, model.pair_freq, 1e9)).oscillating_part()
-    kept, discarded = second_order_average(osc, return_discarded=True)
-    full = second_order_average(osc, keep_max_harmonic=10**6)
-    assert len(kept.terms) + len(discarded.terms) == 2 * len(osc.terms) ** 2
-    assert len(full.terms) == 2 * len(osc.terms) ** 2
-    ck, cd, cf = kept.collected(), discarded.collected(), full.collected()
-    dim = osc.dims[0] * osc.dims[1]
-    zero = np.zeros((dim, dim), dtype=complex)
-    for n in sorted(set(ck) | set(cd) | set(cf)):
-        got = ck.get(n, zero) + cd.get(n, zero)
-        assert np.max(np.abs(got - cf.get(n, zero))) == 0.0
+    osc = oscillating(params, 3, model.pair_freq, 1e9)
+    kept, discarded = second_order_average(osc, params.omegaL, return_discarded=True)
+    full = second_order_average(osc, params.omegaL, keep_max_harmonic=10**6)
+    assert sorted(kept) == [-1, 0, 1]
+    assert sorted(discarded) == [-4, -3, -2, 2, 3, 4]
+    assert sorted(full) == sorted(kept.keys() | discarded.keys())
+    zero = np.zeros_like(full[0])
+    for n in full:
+        got = kept.get(n, zero) + discarded.get(n, zero)
+        assert np.max(np.abs(got - full[n])) == 0.0
 
 
 # --- coefficient extraction -----------------------------------------------------
@@ -140,6 +158,20 @@ def test_derivation_stable_across_truncations():
     assert max(devs) - min(devs) < 1e-12
 
 
+@pytest.mark.parametrize("rabi", [1e12, 1e13])
+def test_level_shift_keeps_full_precision_under_strong_asymmetry(rabi):
+    """At dipole ratio 100 the asymmetry drive G S_z is ~100x the Rabi term;
+    its square enters the static harmonic twice with opposite signs.  Summed
+    as one commutator it cancels exactly instead of rounding away digits of
+    the much smaller Omega^2/(4 w_L) shift."""
+    params = with_rabi(preset("gamma-globulin"), rabi)
+    model = from_physical(params)
+    for n in (2, 3, 4, 8):
+        report = verify_derivation(params, model, n_trunc=n)
+        assert report.checks[0].name == "bloch_siegert"
+        assert report.checks[0].deviation < 1e-15
+
+
 def test_no_asymmetry_means_no_pair_term():
     params = PhysicalParams(omega0=5e15, omegaL=5.01e15, rabi=1e13, dipole_ratio=0.0)
     report = verify_derivation(params, from_physical(params), n_trunc=2)
@@ -156,10 +188,8 @@ def test_unexpected_pair_term_is_flagged():
     params, _ = working_point()
     sym = PhysicalParams(omega0=5e15, omegaL=5.01e15, rabi=1e13, dipole_ratio=0.0)
     model_sym = from_physical(sym)
-    osc = rotate_frame(
-        build_lab_hamiltonian(params, 2, model_sym.pair_freq, 1e9)
-    ).oscillating_part()
-    report = compare_to_target(second_order_average(osc), model_sym, 1e9)
+    osc = oscillating(params, 2, model_sym.pair_freq, 1e9)
+    report = compare_to_target(second_order_average(osc, params.omegaL), model_sym, 1e9)
     pair = next(c for c in report.checks if c.name == "pair_creation")
     assert pair.deviation == float("inf")
     assert pair.note == "expected exactly zero"
@@ -169,10 +199,8 @@ def test_missing_pair_pattern_is_flagged():
     """A drive-only average lacks the pair operator entirely; against a model
     that expects one, the check reports the pattern as missing."""
     params, model = working_point()
-    osc = rotate_frame(
-        build_lab_hamiltonian(params, 2, model.pair_freq, 0.0)
-    ).oscillating_part()
-    report = compare_to_target(second_order_average(osc), model, 1e9)
+    osc = oscillating(params, 2, model.pair_freq, 0.0)
+    report = compare_to_target(second_order_average(osc, params.omegaL), model, 1e9)
     pair = next(c for c in report.checks if c.name == "pair_creation")
     assert pair.measured == 0
     assert pair.deviation == 1.0
