@@ -57,15 +57,15 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def hs_decompose(m: np.ndarray, basis=HS_BASIS) -> np.ndarray:
-    """Coefficients c_k = Tr(e_k^dag m) of m in an orthonormal operator basis."""
-    return np.array([np.trace(dagger(e) @ m) for e in basis])
+def hs_decompose(m: np.ndarray) -> np.ndarray:
+    """Coefficients c_k = Tr(e_k^dag m) of m in HS_BASIS."""
+    return np.array([np.trace(dagger(e) @ m) for e in HS_BASIS])
 
 
-def hs_reconstruct(coeffs, basis=HS_BASIS) -> np.ndarray:
-    """Inverse of hs_decompose: sum_k c_k e_k."""
-    out = np.zeros_like(basis[0])
-    for c, e in zip(coeffs, basis):
+def hs_reconstruct(coeffs) -> np.ndarray:
+    """Inverse of hs_decompose: sum_k c_k e_k over HS_BASIS."""
+    out = np.zeros_like(HS_BASIS[0])
+    for c, e in zip(coeffs, HS_BASIS):
         out = out + c * e
     return out
 

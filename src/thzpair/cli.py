@@ -8,8 +8,8 @@ verification), 3 sweep finished with failed grid points.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +45,8 @@ class SweepSpec:
     spacing: str = "log"
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega_min) and math.isfinite(self.omega_max)):
+            raise model.ConfigError("omega_min and omega_max must be finite")
         if self.spacing not in ("log", "linear"):
             raise model.ConfigError(f"spacing must be log or linear, got {self.spacing!r}")
         if self.points < 2:
@@ -101,12 +103,15 @@ def _sweep_point_guarded(base: model.PhysicalParams, omega: float) -> SweepRow:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
-    """Evaluate the grid; rows come back in grid order regardless of workers."""
-    grid = spec.grid()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda w: _sweep_point_guarded(spec.base, w), grid))
-    return [_sweep_point_guarded(spec.base, w) for w in grid]
+    """Evaluate the grid; one row per grid point, in grid order.
+
+    Rows are computed serially whatever ``workers`` is.  A point is a few
+    hundred microseconds of small-matrix numpy that holds the interpreter
+    lock, so a thread pool ran slower than serial (273 against 194 ms for the
+    default 200-point grid on a 2-core machine).  ``workers`` is still
+    accepted so that callers passing it keep working.
+    """
+    return [_sweep_point_guarded(spec.base, w) for w in spec.grid()]
 
 
 def _fmt(x: float) -> str:
@@ -138,8 +143,15 @@ def sweep_csv(rows) -> str:
 # --- configuration assembly -------------------------------------------------
 
 
-def _mapping_from_args(args) -> dict:
-    """preset defaults <- config file <- CLI flags, later wins."""
+_GRID_KEYS = ("omega_min", "omega_max", "points", "spacing")  # SweepSpec keywords
+
+
+def _resolve(args) -> tuple:
+    """(PhysicalParams, SweepSpec keyword arguments) for a subcommand.
+
+    Sources merge preset <- config file <- flags, later wins; the grid keys
+    are split off here and only ``sweep`` uses them.
+    """
     mapping: dict = {}
     if args.config is not None:
         try:
@@ -154,11 +166,11 @@ def _mapping_from_args(args) -> dict:
         mapping["rabi"] = args.rabi
         mapping.pop("e0_field", None)
         mapping.pop("p12_debye", None)
-    return mapping
-
-
-def _params(args) -> model.PhysicalParams:
-    return model.params_from_mapping(_mapping_from_args(args))
+    for key in ("points", "spacing"):
+        if getattr(args, key, None) is not None:
+            mapping[key] = getattr(args, key)
+    grid = {key: mapping.pop(key) for key in _GRID_KEYS if key in mapping}
+    return model.params_from_mapping(mapping), grid
 
 
 def _write_text(path: str, text: str) -> None:
@@ -173,7 +185,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_steady(args) -> int:
-    params = _params(args)
+    params, _ = _resolve(args)
     eff = model.from_physical(params)
     gen = dynamics.build_adjoint_generator(eff)
     ss = dynamics.steady_state(gen)
@@ -194,22 +206,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mapping = _mapping_from_args(args)
-    spec_kwargs = {}
-    for key, dst in (("omega_min", "omega_min"), ("omega_max", "omega_max")):
-        if key in mapping:
-            spec_kwargs[dst] = mapping.pop(key)
-    if args.points is not None:
-        spec_kwargs["points"] = args.points
-        mapping.pop("points", None)
-    elif "points" in mapping:
-        spec_kwargs["points"] = mapping.pop("points")
-    if args.spacing is not None:
-        spec_kwargs["spacing"] = args.spacing
-        mapping.pop("spacing", None)
-    elif "spacing" in mapping:
-        spec_kwargs["spacing"] = mapping.pop("spacing")
-    spec = SweepSpec(base=model.params_from_mapping(mapping), **spec_kwargs)
+    params, grid = _resolve(args)
+    spec = SweepSpec(base=params, **grid)
     rows = run_sweep(spec)
     _write_text(args.output, sweep_csv(rows))
     failed = sum(r.failed for r in rows)
@@ -220,7 +218,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    params = _params(args)
+    params, _ = _resolve(args)
     eff = model.from_physical(params)
     gen = dynamics.build_adjoint_generator(eff)
     ss = dynamics.steady_state(gen)
@@ -229,8 +227,8 @@ def cmd_correlate(args) -> int:
         if eff.gamma_R <= 0:
             raise model.ConfigError("tau-max required when gamma_R is zero")
         tau_max = 10.0 / eff.gamma_R
-    if tau_max <= 0:
-        raise model.ConfigError("tau-max must be > 0")
+    if not 0.0 < tau_max < math.inf:  # also rejects nan
+        raise model.ConfigError(f"tau-max must be finite and > 0, got {tau_max}")
     if args.tau_points < 1:
         raise model.ConfigError("tau-points must be >= 1")
     if args.tau_points == 1:
@@ -247,7 +245,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_verify_heff(args) -> int:
-    params = _params(args)
+    params, _ = _resolve(args)
     eff = model.from_physical(params)
     if args.mode_truncation < 2:
         raise model.ConfigError("mode-truncation must be >= 2")

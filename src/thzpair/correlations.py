@@ -16,6 +16,7 @@ excited), which then relaxes under the same generator as one-time averages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,9 @@ from .algebra import SM, SP, dagger, expectation
 from .dynamics import AdjointGenerator, BlochState, propagate_dual
 
 __all__ = [
-    "ChannelMap",
+    "CHANNEL_SOURCES",
     "CorrelationReport",
     "ChannelDarkError",
-    "DEFAULT_CHANNELS",
     "g2_zero",
     "cauchy_schwarz",
     "g2_tau",
@@ -40,27 +40,21 @@ class ChannelDarkError(RuntimeError):
     """A channel's mean intensity vanishes; g2 is undefined."""
 
 
-@dataclass(frozen=True)
-class ChannelMap:
-    """Field-source operators of the two emission channels."""
-
-    thz_source: np.ndarray
-    optical_source: np.ndarray
-
-    def source(self, channel: int) -> np.ndarray:
-        if channel == 1:
-            return self.thz_source
-        if channel == 2:
-            return self.optical_source
-        raise ValueError(f"channel must be 1 or 2, got {channel}")
-
-    def intensity(self, channel: int) -> np.ndarray:
-        """Normal-ordered intensity operator B B^dag of a channel."""
-        b = self.source(channel)
-        return b @ dagger(b)
+# Field-source operator of each emission channel: 1 low-frequency, 2 optical.
+CHANNEL_SOURCES = {1: SM, 2: SP}
 
 
-DEFAULT_CHANNELS = ChannelMap(thz_source=SM, optical_source=SP)
+def _source(channel: int) -> np.ndarray:
+    try:
+        return CHANNEL_SOURCES[channel]
+    except KeyError:
+        raise ValueError(f"channel must be 1 or 2, got {channel}") from None
+
+
+def _intensity(channel: int) -> np.ndarray:
+    """Normal-ordered intensity operator B B^dag of a channel."""
+    b = _source(channel)
+    return b @ dagger(b)
 
 
 @dataclass(frozen=True)
@@ -76,8 +70,8 @@ class CorrelationReport:
     violated: bool
 
 
-def _mean_intensity(channels: ChannelMap, channel: int, rho: np.ndarray) -> float:
-    value = expectation(channels.intensity(channel), rho).real
+def _mean_intensity(channel: int, rho: np.ndarray) -> float:
+    value = expectation(_intensity(channel), rho).real
     if value <= _INTENSITY_FLOOR:
         raise ChannelDarkError(
             f"channel {channel} is dark (mean intensity {value:.3g})"
@@ -85,22 +79,21 @@ def _mean_intensity(channels: ChannelMap, channel: int, rho: np.ndarray) -> floa
     return value
 
 
-def g2_zero(
-    i: int, j: int, rho_ss: BlochState, channels: ChannelMap = DEFAULT_CHANNELS
-) -> float:
-    """Normalized zero-delay cross-correlation of channels i then j."""
-    bi = channels.source(i)
-    bj = channels.source(j)
+def _g2_zero(i: int, j: int, rho: np.ndarray, den: float) -> float:
+    """g_ij(0) given den, the product of the two mean intensities."""
+    bi = _source(i)
+    bj = _source(j)
     numerator_op = bi @ bj @ dagger(bj) @ dagger(bi)
-    den = _mean_intensity(channels, i, rho_ss.rho) * _mean_intensity(
-        channels, j, rho_ss.rho
-    )
-    return expectation(numerator_op, rho_ss.rho).real / den
+    return expectation(numerator_op, rho).real / den
 
 
-def cauchy_schwarz(
-    rho_ss: BlochState, channels: ChannelMap = DEFAULT_CHANNELS
-) -> CorrelationReport:
+def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
+    """Normalized zero-delay cross-correlation of channels i then j."""
+    rho = rho_ss.rho
+    return _g2_zero(i, j, rho, _mean_intensity(i, rho) * _mean_intensity(j, rho))
+
+
+def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
     """All four zero-delay correlators and the classical inequality sides.
 
     For a single two-level emitter the same-channel correlators vanish
@@ -108,10 +101,13 @@ def cauchy_schwarz(
     cs_lhs = 0 and any nonzero cross-correlation violates the classical
     bound cs_lhs >= cs_rhs.
     """
-    g11 = g2_zero(1, 1, rho_ss, channels)
-    g22 = g2_zero(2, 2, rho_ss, channels)
-    g12 = g2_zero(1, 2, rho_ss, channels)
-    g21 = g2_zero(2, 1, rho_ss, channels)
+    rho = rho_ss.rho
+    n1 = _mean_intensity(1, rho)
+    n2 = _mean_intensity(2, rho)
+    g11 = _g2_zero(1, 1, rho, n1 * n1)
+    g22 = _g2_zero(2, 2, rho, n2 * n2)
+    g12 = _g2_zero(1, 2, rho, n1 * n2)
+    g21 = _g2_zero(2, 1, rho, n2 * n1)
     cs_lhs = g11 * g22
     cs_rhs = g12 * g12
     return CorrelationReport(
@@ -125,30 +121,23 @@ def cauchy_schwarz(
     )
 
 
-def g2_tau(
-    i: int,
-    j: int,
-    g: AdjointGenerator,
-    rho_ss: BlochState,
-    tau_grid,
-    channels: ChannelMap = DEFAULT_CHANNELS,
-) -> list:
+def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) -> list:
     """g2 of channel j delayed by tau after a channel-i detection at tau = 0.
 
     Markovian evaluation: the collapsed (un-normalized) state B_i^dag rho B_i
     evolves under the dual generator; each grid point is independent.
     """
     taus = [float(t) for t in tau_grid]
+    if not all(math.isfinite(t) for t in taus):
+        raise ValueError("tau_grid must be finite")
     if any(t < 0 for t in taus):
         raise ValueError("tau_grid must be non-negative")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
-    bi = channels.source(i)
-    den = _mean_intensity(channels, i, rho_ss.rho) * _mean_intensity(
-        channels, j, rho_ss.rho
-    )
+    bi = _source(i)
+    den = _mean_intensity(i, rho_ss.rho) * _mean_intensity(j, rho_ss.rho)
     collapsed = dagger(bi) @ rho_ss.rho @ bi
-    intensity_j = channels.intensity(j)
+    intensity_j = _intensity(j)
     out = []
     for tau in taus:
         evolved = propagate_dual(g, collapsed, tau)

@@ -18,6 +18,7 @@ identity observable is a genuine consistency check, not a tautology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,9 @@ __all__ = [
 
 TRACE_TOL = 1e-12
 CONJ_TOL = 1e-12
-SZ_BOUND_TOL = 1e-9
+## |<S+>|^2 + <S_z>^2 = r^2 with lambda_min(rho) = 1/2 - r, so this bounds
+## how far below zero the smallest eigenvalue of rho may round (about -1e-9)
+BLOCH_RADIUS_TOL = 1e-9
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -66,7 +69,7 @@ class NoRelaxationError(RuntimeError):
 
 
 class PhysicalityError(ValueError):
-    """A density matrix breaks trace, Hermiticity or population bounds."""
+    """A density matrix breaks trace, Hermiticity or positivity."""
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,18 @@ class BlochState:
         tr = np.trace(rho)
         if abs(tr - 1.0) > TRACE_TOL:
             raise PhysicalityError(f"Tr rho = {tr:.15g} differs from 1 beyond {TRACE_TOL}")
-        if abs(self.s_minus - np.conj(self.s_plus)) > CONJ_TOL:
+        s_plus = self.s_plus
+        if abs(self.s_minus - np.conj(s_plus)) > CONJ_TOL:
             raise PhysicalityError("<S-> is not the conjugate of <S+> (rho not Hermitian)")
         if abs(np.trace(rho @ SZ).imag) > CONJ_TOL:
             raise PhysicalityError("<S_z> has a non-negligible imaginary part")
-        if not (-0.5 - SZ_BOUND_TOL <= self.s_z <= 0.5 + SZ_BOUND_TOL):
-            raise PhysicalityError(f"<S_z> = {self.s_z:.15g} outside [-1/2, 1/2]")
+        ## the Bloch vector must lie in the ball of radius 1/2 (rho >= 0); this
+        ## bounds <S_z> to [-1/2, 1/2] too, and the negated test rejects NaN
+        radius2 = abs(s_plus) ** 2 + self.s_z**2
+        if not radius2 <= 0.25 + BLOCH_RADIUS_TOL:
+            raise PhysicalityError(
+                f"|<S+>|^2 + <S_z>^2 = {radius2:.15g} outside [0, 1/4] (rho not positive)"
+            )
 
     @property
     def s_plus(self) -> complex:
@@ -289,6 +298,8 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     Used both for density matrices and for the un-normalized collapsed
     operators of two-time correlators.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     s = _scale(g.model, g.matrix)

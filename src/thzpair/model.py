@@ -217,22 +217,23 @@ def preset(name: str) -> PhysicalParams:
 
 # --- key = value configuration text ---------------------------------------
 
-_FLOAT_KEYS = frozenset(
-    {
-        "omega0",
-        "omegaL",
-        "rabi",
-        "e0_field",
-        "p12_debye",
-        "dipole_ratio",
-        "gamma0",
-        "omega_min",
-        "omega_max",
-    }
-)
-_INT_KEYS = frozenset({"points"})
-_STR_KEYS = frozenset({"preset", "spacing"})
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# Every key a config file may set, and the type its value parses to.  The
+# sweep-grid keys (omega_min .. spacing) are split off by the CLI.
+CONFIG_KEYS = {
+    "preset": str,
+    "omega0": float,
+    "omegaL": float,
+    "rabi": float,
+    "e0_field": float,
+    "p12_debye": float,
+    "dipole_ratio": float,
+    "gamma0": float,
+    "omega_min": float,
+    "omega_max": float,
+    "points": int,
+    "spacing": str,
+}
+_NEEDS = {float: "a number", int: "an integer"}
 
 
 def parse_config(text: str) -> dict:
@@ -251,29 +252,20 @@ def parse_config(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        kind = CONFIG_KEYS.get(key)
+        if kind is None:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r}; "
-                f"known keys: {', '.join(sorted(KNOWN_KEYS))}"
+                f"known keys: {', '.join(sorted(CONFIG_KEYS))}"
             )
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: key {key!r} needs a number, got {value!r}"
-                ) from None
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: key {key!r} needs an integer, got {value!r}"
-                ) from None
-        else:
-            out[key] = value
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} needs {_NEEDS[kind]}, got {value!r}"
+            ) from None
     return out
 
 
@@ -305,8 +297,6 @@ def params_from_mapping(mapping: dict) -> PhysicalParams:
             fields[key] = m.pop(key)
         elif base is not None:
             fields[key] = getattr(base, key)
-    for key in ("omega_min", "omega_max", "points", "spacing"):  # sweep-only
-        m.pop(key, None)
     if m:
         raise ConfigError(f"unknown keys: {', '.join(sorted(m))}")
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config layering, exit codes, CSV."""
 
+import argparse
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from thzpair import cli, dynamics
-from thzpair.model import ConfigError, preset
+from thzpair.model import ConfigError, preset, with_rabi
 
 
 def read(path):
@@ -149,6 +150,17 @@ def test_sweep_rejects_bad_grid(tmp_path):
         cli.SweepSpec(base=preset("gamma-globulin"), omega_min=0.0, spacing="log")
 
 
+@pytest.mark.parametrize("line", ["omega_min = nan", "omega_max = inf"])
+def test_sweep_rejects_non_finite_grid_bounds(tmp_path, capsys, line):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"preset = gamma-globulin\n{line}\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    rc = cli.main(["sweep", "--config", str(cfg), "--output", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- steady ----------------------------------------------------------------------
 
 
@@ -176,6 +188,42 @@ def test_steady_rabi_flag_replaces_config_field_route(tmp_path, capsys):
     # --rabi must not clash with the config's field route; it replaces it
     assert cli.main(["steady", "--config", str(cfg), "--rabi", "1e13"]) == 0
     assert "omega_rabi   = 1e+13" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["steady", "--rabi", "1e13"],
+    ["correlate", "--rabi", "1e13", "--tau-points", "3"],
+    ["verify-heff", "--rabi", "1e13"],
+])
+def test_shared_config_with_grid_keys(tmp_path, capsys, command):
+    """One config file serves every subcommand; only sweep reads the grid keys."""
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        "preset = gamma-globulin\nomega_min = 2e11\nomega_max = 4e11\n"
+        "points = 3\nspacing = linear\n",
+        encoding="utf-8",
+    )
+    argv = [*command, "--config", str(cfg)]
+    if command[0] == "correlate":
+        argv += ["--output", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+def test_resolve_splits_grid_keys_and_flags_win(tmp_path):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(
+        "preset = gamma-globulin\ne0_field = 1e8\np12_debye = 10\n"
+        "omega_max = 4e11\npoints = 3\nspacing = linear\n",
+        encoding="utf-8",
+    )
+    args = argparse.Namespace(
+        config=str(cfg), preset="gan-dot", rabi=1e12, points=7, spacing=None
+    )
+    params, grid = cli._resolve(args)
+    # --preset replaces the file's preset; --rabi replaces its field route
+    assert params == with_rabi(preset("gan-dot"), 1e12)
+    assert grid == {"omega_max": 4e11, "points": 7, "spacing": "linear"}
 
 
 def test_unphysical_solve_exits_2(monkeypatch, capsys):
@@ -245,6 +293,16 @@ def test_correlate_rejects_bad_grid_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_correlate_rejects_non_finite_tau_max(tmp_path, capsys, bad):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["correlate", "--preset", "gamma-globulin", "--rabi", "1e13",
+                   "--output", str(out), "--tau-max", bad])
+    assert rc == cli.EXIT_CONFIG
+    assert "tau-max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- verify-heff ------------------------------------------------------------------
 
 
@@ -297,22 +355,22 @@ def test_bad_config_key_exit_1(tmp_path, capsys):
 # --- module entry point --------------------------------------------------------------
 
 
-def test_module_invocation(tmp_path):
+def test_module_invocation(tmp_path, child_env):
     out = tmp_path / "sub.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "thzpair.cli", "sweep", "--preset", "gamma-globulin",
          "--output", str(out), "--points", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(read(out).splitlines()) == 3
 
 
-def test_module_invocation_error_path():
+def test_module_invocation_error_path(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "thzpair.cli", "steady", "--preset", "bogus",
          "--rabi", "1e12"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env,
     )
     assert proc.returncode == 1
     assert "unknown preset" in proc.stderr

@@ -280,10 +280,19 @@ def test_negative_time_rejected():
         propagate_dual(g, SP, -1.0)
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_time_rejected(bad):
+    g = strong_drive_generator()
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagate_dual(g, excited_state().rho, bad)
+
+
+def test_import_does_not_load_scipy(child_env):
     """scipy.linalg is imported by the first propagation, not by the package."""
     code = "import sys, thzpair; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -317,5 +326,19 @@ def test_bloch_state_validation():
         BlochState(np.array([[0.5, 0.3], [0.1, 0.5]]))
     with pytest.raises(PhysicalityError, match="outside"):
         BlochState(np.diag([-0.2, 1.2]))
+    with pytest.raises(PhysicalityError, match="outside"):
+        BlochState(np.full((2, 2), np.nan))
+
+
+def test_bloch_state_rejects_negative_eigenvalue():
+    """Unit trace, Hermitian and <S_z> = 0, but the eigenvalues are 1.1 and
+    -0.1: the Bloch vector leaves the ball of radius 1/2."""
+    rho = np.array([[0.5, 0.6], [0.6, 0.5]])
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-0.1)
+    with pytest.raises(PhysicalityError, match="not positive"):
+        BlochState(rho)
+    # pure states sit on the boundary and pass
+    for pure in (ground_state().rho, excited_state().rho, 0.5 * (ID + SP + SM)):
+        BlochState(pure)
     with pytest.raises(ValueError):
         ground_state().rho[0, 0] = 5.0  # frozen array
