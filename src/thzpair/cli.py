@@ -265,8 +265,16 @@ def cmd_verify_heff(args) -> int:
     return EXIT_DEGENERATE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed or missing flag as a ConfigError, so main exits 1
+    for it like any other configuration error (argparse itself exits 2)."""
+
+    def error(self, message):
+        raise model.ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thzpair",
         description=(
             "Photon-pair emission from a driven two-level emitter with "
@@ -323,9 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _DEGENERATE as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,10 @@ CONJ_TOL = 1e-12
 ## |<S+>|^2 + <S_z>^2 = r^2 with lambda_min(rho) = 1/2 - r, so this bounds
 ## how far below zero the smallest eigenvalue of rho may round (about -1e-9)
 BLOCH_RADIUS_TOL = 1e-9
+## The eigen-expansion V diag(e^{lambda t}) V^-1 loses about eps*cond(V)
+## relative (2e-10 at this bound); a generator whose eigenvectors are worse
+## conditioned sits near an exceptional point and is exponentiated by expm.
+EIGEN_COND_LIMIT = 1e6
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -136,6 +141,21 @@ class AdjointGenerator:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def _real_flow(self) -> tuple:
+        """(s, m, eigen) for propagate_dual, computed on first use.
+
+        m is the dual generator in the real Bloch frame divided by its
+        nondimensionalization frequency s; eigen is m's eigen-expansion
+        (lambda, V, V^-1), or None when cond(V) exceeds EIGEN_COND_LIMIT.
+        """
+        s = _scale(self.model, self.matrix)
+        m = (_ROT @ (dual_generator(self) / s) @ _ROT.conj().T).real
+        lam, v = np.linalg.eig(m)
+        if np.linalg.cond(v) > EIGEN_COND_LIMIT:
+            return s, m, None
+        return s, m, (lam, v, np.linalg.inv(v))
 
 
 def _channels(model: EffectiveModel):
@@ -219,6 +239,9 @@ _TO_REAL = np.array(
         [0.0, 0.0, np.sqrt(2.0)],
     ]
 ) / np.sqrt(2.0)
+## the same rotation on all four HS coefficients, trace component unchanged
+_ROT = np.eye(4, dtype=complex)
+_ROT[1:, 1:] = _TO_REAL
 
 
 def _scale(model: EffectiveModel, matrix: np.ndarray) -> float:
@@ -281,15 +304,40 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     return BlochState(rho)
 
 
+## Padé [13/13] numerator coefficients and the 1-norm up to which that
+## approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+## Appl. 26, 1179 (2005)).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scipy.linalg.expm).
+    """Matrix exponential by scaling and squaring of the [13/13] Padé approximant.
 
-    scipy.linalg is imported on the first call, not with the package: it is
-    most of the package's import time and only propagation needs it.
+    propagate_dual calls it only for a generator near an exceptional point,
+    where the eigen-expansion is ill-conditioned.
     """
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
@@ -302,19 +350,20 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    s = _scale(g.model, g.matrix)
     ## exponentiate in the real Bloch frame: the rotated generator is real
-    ## (Hermiticity-preserving flow), so exp(real matrix) cannot tear the
+    ## (Hermiticity-preserving flow), so a real propagator cannot tear the
     ## conjugate coefficient pair apart, no matter how large the phase
-    ## Delta*t grows.  A complex-basis expm loses Hermiticity at ~1e-11 by
-    ## t = 30/gamma_R at the strong-drive preset.
-    rot = np.eye(4, dtype=complex)
-    rot[1:, 1:] = _TO_REAL
-    m = (rot @ (dual_generator(g) / s) @ rot.conj().T).real
-    u = expm(m * (s * t))
-    return hs_reconstruct(rot.conj().T @ (u @ (rot @ hs_decompose(op))))
+    ## Delta*t grows.  A complex-basis propagator loses Hermiticity at ~1e-11
+    ## by t = 30/gamma_R at the strong-drive preset.
+    s, m, eigen = g._real_flow
+    if eigen is None:
+        u = expm(m * (s * t))
+    else:
+        lam, v, vinv = eigen
+        u = ((v * np.exp(lam * (s * t))) @ vinv).real
+    return hs_reconstruct(_ROT.conj().T @ (u @ (_ROT @ hs_decompose(op))))
 
 
 def propagate(g: AdjointGenerator, rho0: BlochState, t: float) -> BlochState:
-    """rho(t) = exp(dual*t) rho0 via the matrix exponential of the 4x4 dual."""
+    """rho(t) = exp(dual*t) rho0 under the 4x4 dual."""
     return BlochState(propagate_dual(g, rho0.rho, t))

@@ -4,6 +4,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -332,6 +332,10 @@ def test_verify_heff_truncation_guard(capsys):
         (["steady", "--rabi", "1e12"], "missing required"),
         (["steady", "--preset", "gamma-globulin", "--rabi", "6e15"],
          "second-order treatment"),
+        (["steady", "--preset", "gamma-globulin", "--rabi", "fast"],
+         "invalid float value"),
+        (["sweep", "--preset", "gamma-globulin", "--output", "unused.csv",
+          "--points", "abc"], "invalid int value"),
     ],
 )
 def test_config_errors_exit_1(argv, fragment, capsys):

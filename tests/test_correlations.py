@@ -1,5 +1,8 @@
 """Two-channel intensity correlations and the classical-bound comparison."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,29 @@ def test_g2_tau_continuity_weak_drive_literal_step():
     grid = np.arange(200) * (1e-3 / g.model.gamma_R)
     vals = g2_tau(2, 1, g, ss, grid)
     assert np.max(np.abs(np.diff(vals))) < 1e-2
+
+
+def load_reference():
+    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("thzpair_bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_g2_tau_matches_the_50_digit_reference_at_weak_drive():
+    """The weak-drive case loses the most digits: the phase Delta*tau reaches
+    3.3e7 rad at 10/gamma_R.  The reference rebuilds the generator from the
+    lab inputs in mpmath and exponentiates it by eigen-expansion."""
+    reference = load_reference()
+    params = with_rabi(preset("gamma-globulin"), 1e11)
+    eff = from_physical(params)
+    g = build_adjoint_generator(eff)
+    ss = steady_state(g)
+    taus = np.linspace(0.0, 10.0 / eff.gamma_R, 400)
+    expected = reference.correlators(reference.Lab.of(params), taus)
+    for (i, j), ref in zip(reference.PAIRS, expected):
+        values = g2_tau(i, j, g, ss, taus)
+        worst = max(reference.rel_dev(v, r) for v, r in zip(values, ref))
+        assert worst <= 1e-8, (i, j, worst)

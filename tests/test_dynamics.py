@@ -1,13 +1,21 @@
 """Generator construction, steady states, and time evolution."""
 
+import math
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm as scipy_expm
 
+from thzpair import dynamics
 from thzpair.algebra import ID, SM, SP, SZ, hs_decompose, hs_reconstruct
+from thzpair.correlations import g2_tau
 from thzpair.dynamics import (
     AdjointGenerator,
     BlochState,
@@ -17,6 +25,7 @@ from thzpair.dynamics import (
     build_adjoint_generator,
     dual_generator,
     excited_state,
+    expm,
     ground_state,
     propagate,
     propagate_dual,
@@ -272,6 +281,74 @@ def test_propagation_agrees_with_adaptive_integrator():
     assert np.max(np.abs(rho_ode - rho_exp)) < 1e-8
 
 
+# --- properties of the flow over drawn models ------------------------------------
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+RATES = log_uniform(1e6, 1e12)
+
+
+@st.composite
+def radiative_models(draw):
+    gamma = draw(RATES)
+    delta = gamma * draw(st.floats(-1e3, 1e3))
+    return rad_only(delta, gamma, gamma * draw(log_uniform(1e-2, 1e3)))
+
+
+@st.composite
+def preset_models(draw):
+    name, rabi_max = draw(st.sampled_from([("gamma-globulin", 4.9e13), ("gan-dot", 1e15)]))
+    params = with_rabi(preset(name), draw(log_uniform(1e11, rabi_max)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # closed pair channel, strong drive
+        return from_physical(params)
+
+
+@st.composite
+def near_exceptional_models(draw):
+    """Within 1e-6 of delta = 0, Omega = gamma_R/2, where the generator is
+    defective; the closest draws take the expm fallback."""
+    gamma = draw(RATES)
+    return rad_only(0.0, gamma, 0.5 * gamma * (1.0 + draw(st.floats(-1e-6, 1e-6))))
+
+
+MODELS = st.one_of(radiative_models(), preset_models(), near_exceptional_models())
+OPERATORS = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+    lambda v: np.reshape(v[:4], (2, 2)) + 1j * np.reshape(v[4:], (2, 2))
+)
+FRACTIONS = st.floats(0.0, 1.0)  # of the horizon 10/gamma_R
+
+
+@given(MODELS, OPERATORS, FRACTIONS)
+def test_flow_conserves_the_trace(m, op, f):
+    out = propagate_dual(build_adjoint_generator(m), op, f * 10.0 / m.gamma_R)
+    assert abs(np.trace(out) - np.trace(op)) <= 1e-12 * np.max(np.abs(op))
+
+
+@given(MODELS, OPERATORS, FRACTIONS)
+def test_flow_keeps_hermitian_operators_hermitian(m, op, f):
+    """The real-frame propagator keeps the conjugate coefficient pair exact."""
+    h = op + op.conj().T
+    out = propagate_dual(build_adjoint_generator(m), h, f * 10.0 / m.gamma_R)
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-15 * np.max(np.abs(h))
+
+
+@given(MODELS, OPERATORS, FRACTIONS, FRACTIONS)
+def test_flow_is_a_semigroup(m, op, f1, f2):
+    """U(t1 + t2) = U(t2) U(t1).  The floor is the phase arithmetic,
+    eps * s * t with s the largest frequency of the generator."""
+    g = build_adjoint_generator(m)
+    t1, t2 = f1 * 10.0 / m.gamma_R, f2 * 10.0 / m.gamma_R
+    direct = propagate_dual(g, op, t1 + t2)
+    split = propagate_dual(g, propagate_dual(g, op, t1), t2)
+    s = max(m.omega_rabi, abs(m.delta_eff), m.gamma_R)
+    tol = (1e-12 + 2.0 * np.finfo(float).eps * s * (t1 + t2)) * np.max(np.abs(op))
+    assert np.max(np.abs(direct - split)) <= tol
+
+
 def test_negative_time_rejected():
     g = strong_drive_generator()
     with pytest.raises(ValueError, match="t must be >= 0"):
@@ -287,14 +364,96 @@ def test_non_finite_time_rejected(bad):
         propagate_dual(g, excited_state().rho, bad)
 
 
-def test_import_does_not_load_scipy(child_env):
-    """scipy.linalg is imported by the first propagation, not by the package."""
-    code = "import sys, thzpair; print('scipy' in sys.modules)"
+def test_import_does_not_load_scipy(child_env, tmp_path):
+    """numpy is the only runtime dependency: neither the import nor any
+    subcommand, propagation included, loads scipy."""
+    code = (
+        "import sys, thzpair\n"
+        "from thzpair import cli\n"
+        "print('scipy' in sys.modules)\n"
+        "base = ['--preset', 'gamma-globulin', '--rabi', '1e12']\n"
+        "assert cli.main(['steady', *base]) == 0\n"
+        "assert cli.main(['correlate', *base, '--output', 'c.csv', '--tau-points', '5']) == 0\n"
+        "assert cli.main(['verify-heff', *base]) == 0\n"
+        "assert cli.main(['sweep', '--preset', 'gan-dot', '--output', 's.csv', '--points', '3']) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env,
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+# --- the matrix exponential and the switch to it -----------------------------------
+
+
+def count_expm_calls(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    return calls
+
+
+def mp_propagate(g, op, t):
+    """exp(dual t) applied to op at 40 digits, from the float dual generator."""
+    with mpmath.workdps(40):
+        dual = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in dual_generator(g)])
+        x0 = mpmath.matrix([mpmath.mpc(complex(c)) for c in hs_decompose(op)])
+        y = mpmath.expm(dual * mpmath.mpf(t)) * x0
+        return hs_reconstruct([complex(c) for c in y])
+
+
+@pytest.mark.parametrize(
+    "eps, fallback",
+    [
+        (0.0, True),  # exceptional point: cond(V) ~ 1e8, the eigenvectors merge
+        (1e-3, False),  # cond(V) ~ 60
+    ],
+)
+def test_fallback_switch_at_the_exceptional_point(monkeypatch, eps, fallback):
+    """At delta = 0 and Omega = gamma_R/2 two Bloch eigenvalues coincide and
+    the radiative-only generator is defective."""
+    gamma = 1e9
+    g = build_adjoint_generator(rad_only(0.0, gamma, 0.5 * gamma * (1.0 + eps)))
+    calls = count_expm_calls(monkeypatch)
+    rho = excited_state().rho
+    for t in (0.1 / gamma, 1.0 / gamma, 10.0 / gamma, 30.0 / gamma):
+        out = propagate_dual(g, rho, t)
+        ref = mp_propagate(g, rho, t)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert len(calls) == (4 if fallback else 0)
+
+
+@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
+@pytest.mark.parametrize("rabi", [1e11, 1e13])
+def test_presets_never_take_the_fallback(monkeypatch, name, rabi):
+    g = build_adjoint_generator(from_physical(with_rabi(preset(name), rabi)))
+    calls = count_expm_calls(monkeypatch)
+    ss = steady_state(g)
+    taus = np.linspace(0.0, 10.0 / g.model.gamma_R, 50)
+    g2_tau(1, 2, g, ss, taus)
+    g2_tau(2, 1, g, ss, taus)
+    assert calls == []
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_pade_expm_matches_scipy(norm):
+    """The exponential's relative condition number grows like ||A||, so two
+    sound algorithms agree to about eps*||A|| (measured: up to 40 eps*||A||)."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        a = rng.standard_normal((4, 4))
+        a *= norm / np.linalg.norm(a, 1)
+        ref = scipy_expm(a)
+        err = np.linalg.norm(expm(a) - ref, 1) / np.linalg.norm(ref, 1)
+        assert err <= 5e-13 * max(1.0, norm)
 
 
 def test_propagate_dual_handles_unnormalized_operators():
