@@ -3,6 +3,7 @@
 import argparse
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def test_sweep_is_deterministic(tmp_path):
     assert cli.main(args + ["--output", str(a)]) == 0
     assert cli.main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
+@pytest.mark.parametrize(
+    "tag, grid", [("default", {}), ("linear50", {"points": 50, "spacing": "linear"})]
+)
+def test_sweep_csv_matches_golden_bytes(name, tag, grid):
+    """The sweep CSV is a byte contract.  These files were written by the
+    solver as it stood before the generator moved to a Hermitian operator
+    basis, so a last-digit drift from any refactor of the solve shows here.
+    They pin one numpy/OpenBLAS build: a digit that changes with a new
+    toolchain is a contract break to report, not a file to re-record."""
+    rows = cli.run_sweep(cli.SweepSpec(base=preset(name), **grid))
+    golden = (GOLDEN / f"sweep_{name}_{tag}.csv").read_bytes()
+    assert cli.sweep_csv(rows).encode() == golden
 
 
 def test_sweep_rows_identical_across_worker_counts():
