@@ -41,9 +41,18 @@ PROJ_GROUND = _frozen([[1.0, 0.0], [0.0, 0.0]])   # |1><1| = S-S+
 PROJ_EXCITED = _frozen([[0.0, 0.0], [0.0, 1.0]])  # |2><2| = S+S-
 
 # Orthonormal operator basis under the Hilbert-Schmidt inner product
-# <A, B> = Tr(A^dag B); used as the coordinate system for generators.
+# <A, B> = Tr(A^dag B): (1, sigma_x, sigma_y, sigma_z)/sqrt2.  Every element
+# is Hermitian, so a Hermitian operator has real coefficients and a
+# Hermiticity-preserving generator is a real matrix (the coherence-vector
+# form); coefficients 1..3 are the Bloch vector over sqrt2.
 HS_BASIS = tuple(
-    _frozen(m) for m in (ID / np.sqrt(2.0), SP, SM, np.sqrt(2.0) * SZ)
+    _frozen(m)
+    for m in (
+        ID / np.sqrt(2.0),
+        (SP + SM) / np.sqrt(2.0),
+        1j * (SP - SM) / np.sqrt(2.0),
+        np.sqrt(2.0) * SZ,
+    )
 )
 
 

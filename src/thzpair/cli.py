@@ -231,10 +231,7 @@ def cmd_correlate(args) -> int:
         raise model.ConfigError(f"tau-max must be finite and > 0, got {tau_max}")
     if args.tau_points < 1:
         raise model.ConfigError("tau-points must be >= 1")
-    if args.tau_points == 1:
-        taus = np.array([0.0])
-    else:
-        taus = np.linspace(0.0, tau_max, args.tau_points)
+    taus = np.linspace(0.0, tau_max, args.tau_points)
     g12 = correlations.g2_tau(1, 2, gen, ss, taus)
     g21 = correlations.g2_tau(2, 1, gen, ss, taus)
     lines = ["tau,g12,g21"]

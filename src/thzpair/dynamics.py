@@ -32,7 +32,6 @@ from .algebra import (
     SP,
     SZ,
     commutator,
-    dagger,
     expectation,
     hs_decompose,
     hs_reconstruct,
@@ -132,13 +131,19 @@ def excited_state() -> BlochState:
 
 @dataclass(frozen=True)
 class AdjointGenerator:
-    """4x4 matrix of d<Q>/dt over HS_BASIS, plus the model it came from."""
+    """Real 4x4 matrix of d<Q>/dt over HS_BASIS, plus the model it came from.
+
+    The identity observable is conserved, so column 0 is zero and the
+    trace row of the dual (the transpose) vanishes.  The traceless 3x3 block
+    is the real Bloch system that steady_state solves; propagate_dual
+    exponentiates the whole matrix.
+    """
 
     matrix: np.ndarray
     model: EffectiveModel
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -146,12 +151,12 @@ class AdjointGenerator:
     def _real_flow(self) -> tuple:
         """(s, m, eigen) for propagate_dual, computed on first use.
 
-        m is the dual generator in the real Bloch frame divided by its
-        nondimensionalization frequency s; eigen is m's eigen-expansion
-        (lambda, V, V^-1), or None when cond(V) exceeds EIGEN_COND_LIMIT.
+        m is the dual generator divided by its nondimensionalization
+        frequency s; eigen is m's eigen-expansion (lambda, V, V^-1), or None
+        when cond(V) exceeds EIGEN_COND_LIMIT.
         """
         s = _scale(self.model, self.matrix)
-        m = (_ROT @ (dual_generator(self) / s) @ _ROT.conj().T).real
+        m = dual_generator(self) / s
         lam, v = np.linalg.eig(m)
         if np.linalg.cond(v) > EIGEN_COND_LIMIT:
             return s, m, None
@@ -189,27 +194,18 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
         for a, b, c, d, w in channels:
             img = img - w * (a @ commutator(b, q) + commutator(q, c) @ d)
         cols.append(hs_decompose(img))
-    return AdjointGenerator(matrix=np.column_stack(cols), model=model)
-
-
-## The HS basis is not self-adjoint elementwise (S+ and S- swap under
-## dagger), so the bilinear pairing Tr(X Y) couples index 1 to index 2:
-## Tr(e_i e_j) = delta_{sigma(i) j} with sigma the (1,2) swap.  The dual
-## (state-picture) generator defined by Tr(L(rho) Q) = Tr(rho L^adj(Q))
-## is therefore the swap-conjugated transpose below.
-_SWAP = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-)
+    ## every channel has C = B^dag and D = A^dag, so L^adj maps Hermitian
+    ## observables to Hermitian ones: the imaginary parts are rounding residue
+    return AdjointGenerator(matrix=np.column_stack(cols).real, model=model)
 
 
 def dual_generator(g: AdjointGenerator) -> np.ndarray:
-    """State-evolution generator: d(rho-coefficients)/dt = dual @ coeffs."""
-    return _SWAP @ g.matrix.T @ _SWAP
+    """State-evolution generator: d(rho-coefficients)/dt = dual @ coeffs.
+
+    HS_BASIS is Hermitian and orthonormal, so Tr(e_i e_j) = delta_ij and the
+    dual defined by Tr(L(rho) Q) = Tr(rho L^adj(Q)) is the plain transpose.
+    """
+    return g.matrix.T
 
 
 def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
@@ -228,20 +224,6 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
 
 
 _GROUND_COEFFS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-
-## Unitary rotation of the traceless coefficients (c1, c2, c3) onto the real
-## Bloch quadratures (sqrt2 Re c1, sqrt2 Im c1, c3).  Hermiticity-preserving
-## flows become real 3x3 systems under this map.
-_TO_REAL = np.array(
-    [
-        [1.0, 1.0, 0.0],
-        [-1.0j, 1.0j, 0.0],
-        [0.0, 0.0, np.sqrt(2.0)],
-    ]
-) / np.sqrt(2.0)
-## the same rotation on all four HS coefficients, trace component unchanged
-_ROT = np.eye(4, dtype=complex)
-_ROT[1:, 1:] = _TO_REAL
 
 
 def _scale(model: EffectiveModel, matrix: np.ndarray) -> float:
@@ -262,17 +244,12 @@ def steady_state(g: AdjointGenerator) -> BlochState:
         raise NoRelaxationError("all dissipative channel weights are zero")
     s = _scale(g.model, g.matrix)
     dual = dual_generator(g) / s
-    a = dual[1:, 1:]
+    m = dual[1:, 1:]
     ## Solve for the deviation from the ground state, coefficients
     ## (1/sqrt2, 0, 0, -1/sqrt2), not for the state itself: a weakly driven
     ## steady state sits within ~1e-12 of ground, and subtracting two O(1)
     ## coefficients afterwards would erase the excited population.
-    b = -hs_decompose(_dual_image(g.model, PROJ_GROUND))[1:] / s
-    ## rotate to real Bloch quadratures: the excited-population balance
-    ## reads the small quadrature Im<S-> directly instead of forming it as
-    ## the difference of two conjugate complex coefficients
-    m = (_TO_REAL @ a @ _TO_REAL.conj().T).real
-    br = (_TO_REAL @ b).real
+    br = -hs_decompose(_dual_image(g.model, PROJ_GROUND))[1:].real / s
 
     ## row equilibration: entries span many orders of magnitude, which is
     ## physical (pump weights ~1e-4/s against detunings ~1e13/s)
@@ -289,7 +266,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     xr = np.linalg.solve(aa, bb)
     xr = xr + np.linalg.solve(aa, bb - aa @ xr)  # one step of iterative refinement
 
-    delta = np.concatenate(([0.0], _TO_REAL.conj().T @ xr))
+    delta = [0.0, *xr]
     coeffs = delta + _GROUND_COEFFS
     residual = np.linalg.norm(dual @ coeffs) * s
     limit = 1e-10 * float(np.max(np.abs(g.matrix)))
@@ -299,9 +276,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
         )
     ## assemble additively off the ground projector so rho[1,1] never goes
     ## through a 1/2 - (1/2 - p2) subtraction
-    rho = PROJ_GROUND + hs_reconstruct(delta)
-    rho = 0.5 * (rho + dagger(rho))  # scrub solver roundoff off the Hermitian part
-    return BlochState(rho)
+    return BlochState(PROJ_GROUND + hs_reconstruct(delta))
 
 
 ## Padé [13/13] numerator coefficients and the 1-norm up to which that
@@ -350,18 +325,17 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    ## exponentiate in the real Bloch frame: the rotated generator is real
-    ## (Hermiticity-preserving flow), so a real propagator cannot tear the
-    ## conjugate coefficient pair apart, no matter how large the phase
-    ## Delta*t grows.  A complex-basis propagator loses Hermiticity at ~1e-11
-    ## by t = 30/gamma_R at the strong-drive preset.
+    ## the generator is real over the Hermitian basis, so the propagator is
+    ## real too and maps Hermitian operators to exactly Hermitian ones, no
+    ## matter how large the phase Delta*t grows.  A complex-basis propagator
+    ## loses Hermiticity at ~1e-11 by t = 30/gamma_R at the strong-drive preset.
     s, m, eigen = g._real_flow
     if eigen is None:
         u = expm(m * (s * t))
     else:
         lam, v, vinv = eigen
         u = ((v * np.exp(lam * (s * t))) @ vinv).real
-    return hs_reconstruct(_ROT.conj().T @ (u @ (_ROT @ hs_decompose(op))))
+    return hs_reconstruct(u @ hs_decompose(op))
 
 
 def propagate(g: AdjointGenerator, rho0: BlochState, t: float) -> BlochState:

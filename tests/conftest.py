@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import importlib.util
 import os
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.fixture
@@ -20,3 +22,13 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
+    path = ROOT / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("thzpair_bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,7 +1,6 @@
 """Two-channel intensity correlations and the classical-bound comparison."""
 
-import importlib.util
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -133,20 +132,10 @@ def test_g2_tau_continuity_weak_drive_literal_step():
     assert np.max(np.abs(np.diff(vals))) < 1e-2
 
 
-def load_reference():
-    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("thzpair_bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_g2_tau_matches_the_50_digit_reference_at_weak_drive():
+def test_g2_tau_matches_the_50_digit_reference_at_weak_drive(reference):
     """The weak-drive case loses the most digits: the phase Delta*tau reaches
     3.3e7 rad at 10/gamma_R.  The reference rebuilds the generator from the
     lab inputs in mpmath and exponentiates it by eigen-expansion."""
-    reference = load_reference()
     params = with_rabi(preset("gamma-globulin"), 1e11)
     eff = from_physical(params)
     g = build_adjoint_generator(eff)
@@ -157,3 +146,37 @@ def test_g2_tau_matches_the_50_digit_reference_at_weak_drive():
         values = g2_tau(i, j, g, ss, taus)
         worst = max(reference.rel_dev(v, r) for v, r in zip(values, ref))
         assert worst <= 1e-8, (i, j, worst)
+
+
+def _oracle_drives():
+    """Both ends of each preset's valid drive range plus seeded log-uniform
+    draws between them.  gan-dot's pair channel closes above about 4.4e14,
+    and at 1.2e15 rabi/omegaL is near 0.24; gamma-globulin's G/omegaL is
+    about 0.98 at 4.9e13."""
+    rng = np.random.default_rng(2012)
+    drives = []
+    for name, top, extra in [
+        ("gamma-globulin", 4.9e13, []),
+        ("gan-dot", 1.2e15, [3e14, 5e14, 7e14, 1e15]),
+    ]:
+        draws = 10.0 ** rng.uniform(11.0, np.log10(top), 6)
+        drives += [(name, float(r)) for r in sorted([1e11, *draws, *extra, top])]
+    return drives
+
+
+@pytest.mark.parametrize(
+    "name, rabi", _oracle_drives(), ids=lambda v: v if isinstance(v, str) else f"{v:.3g}"
+)
+def test_steady_point_matches_the_50_digit_reference(reference, name, rabi):
+    """p2, g12 and g21 of the full five-channel model against the mpmath
+    reference, which rebuilds the generator from the lab inputs in density-
+    matrix coordinates and solves it at 50 digits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # closed pair channel, strong drive
+        params = with_rabi(preset(name), rabi)
+        eff = from_physical(params)
+    ss = steady_state(build_adjoint_generator(eff))
+    rep = cauchy_schwarz(ss)
+    expected = reference.steady_point(reference.Lab.of(params))
+    for value, ref in zip((ss.p_excited, rep.g12, rep.g21), expected):
+        assert reference.rel_dev(value, ref) <= 1e-13

@@ -1,5 +1,6 @@
 """Generator construction, steady states, and time evolution."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from thzpair.dynamics import (
     DegenerateSteadyStateError,
     NoRelaxationError,
     PhysicalityError,
+    _dual_image,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -55,6 +57,12 @@ def closed_form(m):
 
 def strong_drive_generator():
     return build_adjoint_generator(from_physical(with_rabi(preset("gamma-globulin"), 1e13)))
+
+
+def preset_model(name, rabi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # closed pair channel, strong drive
+        return from_physical(with_rabi(preset(name), rabi))
 
 
 # --- generator structure ------------------------------------------------------
@@ -93,6 +101,33 @@ def test_dual_is_the_transpose_under_the_trace_pairing():
         rhs = np.trace(rho @ hs_reconstruct(g.matrix @ hs_decompose(q)))
         denom = scale * np.linalg.norm(rho) * np.linalg.norm(q)
         assert abs(lhs - rhs) <= 1e-12 * denom
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: preset_model("gamma-globulin", 1e11),
+        lambda: preset_model("gamma-globulin", 1e13),
+        lambda: preset_model("gan-dot", 5e14),
+        lambda: preset_model("gan-dot", 1e15),
+        lambda: rad_only(3.7e9, 2.1e6, 5e7),
+    ],
+    ids=["gamma-globulin-1e11", "gamma-globulin-1e13", "gan-dot-5e14", "gan-dot-1e15", "rad_only"],
+)
+def test_dual_generator_matches_the_operator_wise_image(make):
+    """The assembled generator, transposed, against L(X) evaluated
+    operator-wise by _dual_image: two independent evaluations of the five
+    channels, one in the Heisenberg and one in the state picture."""
+    g = build_adjoint_generator(make())
+    assert g.matrix.dtype == np.float64
+    dual = dual_generator(g)
+    scale = np.max(np.abs(g.matrix))
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        got = hs_decompose(_dual_image(g.model, x))
+        want = dual @ hs_decompose(x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale * np.linalg.norm(x)
 
 
 def test_generator_matrix_is_read_only():
@@ -159,6 +194,28 @@ def test_correction_channels_shift_p2_at_first_order_only():
         assert dev < m.c_cross
         if om <= 2e11:
             assert dev < 1e-6
+
+
+@pytest.mark.parametrize(
+    "rabi, p2_full, p2_no_cross",
+    [(5e14, 0.500242, 0.499971), (7e14, 0.501046, 0.499553), (1e15, 0.502409, 0.498365)],
+)
+def test_gan_dot_inversion_comes_from_the_cross_channels(rabi, p2_full, p2_no_cross):
+    """Strongly driven gan-dot settles with slightly more than half its
+    population excited, although its pair pump is closed and decay and
+    dephasing alone cannot invert a two-level system.  The state is well
+    inside the Bloch ball, and switching the non-Lindblad cross channels off
+    (c_cross = 0) removes the inversion."""
+    eff = preset_model("gan-dot", rabi)
+    ss = steady_state(build_adjoint_generator(eff))
+    assert ss.p_excited > 0.5
+    assert ss.p_excited == pytest.approx(p2_full, abs=1e-6)
+    assert np.linalg.eigvalsh(ss.rho).min() >= 0.44
+
+    no_cross = dataclasses.replace(eff, c_cross=0.0)
+    p2 = steady_state(build_adjoint_generator(no_cross)).p_excited
+    assert p2 < 0.5
+    assert p2 == pytest.approx(p2_no_cross, abs=1e-6)
 
 
 def test_no_relaxation_raises():
@@ -301,10 +358,7 @@ def radiative_models(draw):
 @st.composite
 def preset_models(draw):
     name, rabi_max = draw(st.sampled_from([("gamma-globulin", 4.9e13), ("gan-dot", 1e15)]))
-    params = with_rabi(preset(name), draw(log_uniform(1e11, rabi_max)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # closed pair channel, strong drive
-        return from_physical(params)
+    return preset_model(name, draw(log_uniform(1e11, rabi_max)))
 
 
 @st.composite
