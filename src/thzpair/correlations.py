@@ -43,18 +43,21 @@ class ChannelDarkError(RuntimeError):
 # Field-source operator of each emission channel: 1 low-frequency, 2 optical.
 CHANNEL_SOURCES = {1: SM, 2: SP}
 
-
-def _source(channel: int) -> np.ndarray:
-    try:
-        return CHANNEL_SOURCES[channel]
-    except KeyError:
-        raise ValueError(f"channel must be 1 or 2, got {channel}") from None
+# Normal-ordered intensity operator B B^dag of each channel, and the
+# zero-delay numerator B_i B_j B_j^dag B_i^dag of each ordered channel pair.
+_INTENSITY = {c: b @ dagger(b) for c, b in CHANNEL_SOURCES.items()}
+_NUMERATOR = {
+    (i, j): bi @ bj @ dagger(bj) @ dagger(bi)
+    for i, bi in CHANNEL_SOURCES.items()
+    for j, bj in CHANNEL_SOURCES.items()
+}
 
 
 def _intensity(channel: int) -> np.ndarray:
-    """Normal-ordered intensity operator B B^dag of a channel."""
-    b = _source(channel)
-    return b @ dagger(b)
+    try:
+        return _INTENSITY[channel]
+    except KeyError:
+        raise ValueError(f"channel must be 1 or 2, got {channel}") from None
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,7 @@ def _mean_intensity(channel: int, rho: np.ndarray) -> float:
 
 def _g2_zero(i: int, j: int, rho: np.ndarray, den: float) -> float:
     """g_ij(0) given den, the product of the two mean intensities."""
-    bi = _source(i)
-    bj = _source(j)
-    numerator_op = bi @ bj @ dagger(bj) @ dagger(bi)
-    return expectation(numerator_op, rho).real / den
+    return expectation(_NUMERATOR[i, j], rho).real / den
 
 
 def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
@@ -134,8 +134,8 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
         raise ValueError("tau_grid must be non-negative")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
-    bi = _source(i)
     den = _mean_intensity(i, rho_ss.rho) * _mean_intensity(j, rho_ss.rho)
+    bi = CHANNEL_SOURCES[i]
     collapsed = dagger(bi) @ rho_ss.rho @ bi
     intensity_j = _intensity(j)
     out = []

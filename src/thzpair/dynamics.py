@@ -32,7 +32,6 @@ from .algebra import (
     SP,
     SZ,
     commutator,
-    expectation,
     hs_decompose,
     hs_reconstruct,
 )
@@ -88,13 +87,13 @@ class BlochState:
             raise ValueError(f"rho must be 2x2, got {rho.shape}")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-        tr = np.trace(rho)
+        tr = rho[0, 0] + rho[1, 1]
         if abs(tr - 1.0) > TRACE_TOL:
             raise PhysicalityError(f"Tr rho = {tr:.15g} differs from 1 beyond {TRACE_TOL}")
         s_plus = self.s_plus
         if abs(self.s_minus - np.conj(s_plus)) > CONJ_TOL:
             raise PhysicalityError("<S-> is not the conjugate of <S+> (rho not Hermitian)")
-        if abs(np.trace(rho @ SZ).imag) > CONJ_TOL:
+        if abs(-0.5 * rho[0, 0].imag + 0.5 * rho[1, 1].imag) > CONJ_TOL:
             raise PhysicalityError("<S_z> has a non-negligible imaginary part")
         ## the Bloch vector must lie in the ball of radius 1/2 (rho >= 0); this
         ## bounds <S_z> to [-1/2, 1/2] too, and the negated test rejects NaN
@@ -104,21 +103,24 @@ class BlochState:
                 f"|<S+>|^2 + <S_z>^2 = {radius2:.15g} outside [0, 1/4] (rho not positive)"
             )
 
+    ## Expectation values read off rho's entries: Tr(rho Q) for Q = S+, S-,
+    ## S_z and |2><2| picks out one entry or a diagonal difference, so these
+    ## equal expectation(Q, rho) bit for bit without forming the products.
     @property
     def s_plus(self) -> complex:
-        return expectation(SP, self.rho)
+        return complex(self.rho[0, 1])
 
     @property
     def s_minus(self) -> complex:
-        return expectation(SM, self.rho)
+        return complex(self.rho[1, 0])
 
     @property
     def s_z(self) -> float:
-        return expectation(SZ, self.rho).real
+        return float(-0.5 * self.rho[0, 0].real + 0.5 * self.rho[1, 1].real)
 
     @property
     def p_excited(self) -> float:
-        return expectation(PROJ_EXCITED, self.rho).real
+        return float(self.rho[1, 1].real)
 
 
 def ground_state() -> BlochState:
@@ -163,35 +165,48 @@ class AdjointGenerator:
         return s, m, (lam, v, np.linalg.inv(v))
 
 
-def _channels(model: EffectiveModel):
-    """The five dissipative channels as (A, B, C, D, weight) tuples.
+## The five dissipative channels as (A, B, C, D) operator tuples; term k
+## contributes -w_k*(A[B,Q] + [Q,C]D) to d<Q>/dt, with w_k from _weights:
+##   1. optical relaxation of the transition,
+##   2. cross channel mixing inversion noise into the coherence decay,
+##   3. pair-channel pump (emission of a low-frequency photon excites the
+##      emitter; its weight carries the squared asymmetry prefactor),
+##   4. mirror cross channel,
+##   5. drive-induced dephasing at the laser frequency.
+_CHANNELS = (
+    (SP, SM, SP, SM),
+    (SZ, SM, SP, SZ),
+    (SM, SP, SM, SP),
+    (SP, SZ, SZ, SM),
+    (SZ, SZ, SZ, SZ),
+)
 
-    Term k contributes -w_k*(A[B,Q] + [Q,C]D) to d<Q>/dt:
-      1. optical relaxation of the transition,
-      2. cross channel mixing inversion noise into the coherence decay,
-      3. pair-channel pump (emission of a low-frequency photon excites the
-         emitter; its weight carries the squared asymmetry prefactor),
-      4. mirror cross channel,
-      5. drive-induced dephasing at the laser frequency.
-    """
+
+def _weights(model: EffectiveModel) -> tuple:
+    """The weights w_k of the five channels of _CHANNELS, in order."""
     return (
-        (SP, SM, SP, SM, model.gamma_R),
-        (SZ, SM, SP, SZ, model.c_cross * model.gamma_L),
-        (SM, SP, SM, SP, model.c_pump * model.gamma_T),
-        (SP, SZ, SZ, SM, model.c_cross * model.gamma_R),
-        (SZ, SZ, SZ, SZ, model.c_deph * model.gamma_L),
+        model.gamma_R,
+        model.c_cross * model.gamma_L,
+        model.c_pump * model.gamma_T,
+        model.c_cross * model.gamma_R,
+        model.c_deph * model.gamma_L,
     )
+
+
+def _channel_image(rho: np.ndarray, a, b, c, d) -> np.ndarray:
+    """State-picture image of rho under one unit-weight channel."""
+    return rho @ a @ b - b @ rho @ a + c @ d @ rho - d @ rho @ c
 
 
 def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     """Assemble d<Q>/dt column by column from the operator expressions."""
     ## coherent part: effective detuning plus the semiclassical drive
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
-    channels = _channels(model)
+    weights = _weights(model)
     cols = []
     for q in HS_BASIS:
         img = 1j * commutator(h0, q)
-        for a, b, c, d, w in channels:
+        for (a, b, c, d), w in zip(_CHANNELS, weights):
             img = img - w * (a @ commutator(b, q) + commutator(q, c) @ d)
         cols.append(hs_decompose(img))
     ## every channel has C = B^dag and D = A^dag, so L^adj maps Hermitian
@@ -213,13 +228,28 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
 
     Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
     structural zeros of rho survive exactly (no eps-sized residue from
-    cancelling matrix entries).  steady_state leans on this when it seeds
-    the solve with the generator's action on the ground projector.
+    cancelling matrix entries).  steady_state seeds its solve with this
+    image of the ground projector, as formed by _ground_image.
     """
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     out = -1j * commutator(h0, rho)
-    for a, b, c, d, w in _channels(model):
-        out = out - w * (rho @ a @ b - b @ rho @ a + c @ d @ rho - d @ rho @ c)
+    for channel, w in zip(_CHANNELS, _weights(model)):
+        out = out - w * _channel_image(rho, *channel)
+    return out
+
+
+## The unit-weight channel images of the ground projector depend on no model
+## parameter, so they are formed once; per point only the weights change.
+_GROUND_IMAGES = tuple(_channel_image(PROJ_GROUND, *channel) for channel in _CHANNELS)
+
+
+def _ground_image(model: EffectiveModel) -> np.ndarray:
+    """_dual_image(model, PROJ_GROUND), bit for bit: the same terms in the
+    same order, with the channel images taken from _GROUND_IMAGES."""
+    h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
+    out = -1j * commutator(h0, PROJ_GROUND)
+    for image, w in zip(_GROUND_IMAGES, _weights(model)):
+        out = out - w * image
     return out
 
 
@@ -240,7 +270,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     The trace component is conserved exactly (first dual row is zero), so
     the problem reduces to a 3x3 solve for the traceless components.
     """
-    if max(abs(w) for *_, w in _channels(g.model)) == 0.0:
+    if max(abs(w) for w in _weights(g.model)) == 0.0:
         raise NoRelaxationError("all dissipative channel weights are zero")
     s = _scale(g.model, g.matrix)
     dual = dual_generator(g) / s
@@ -249,7 +279,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     ## (1/sqrt2, 0, 0, -1/sqrt2), not for the state itself: a weakly driven
     ## steady state sits within ~1e-12 of ground, and subtracting two O(1)
     ## coefficients afterwards would erase the excited population.
-    br = -hs_decompose(_dual_image(g.model, PROJ_GROUND))[1:].real / s
+    br = -hs_decompose(_ground_image(g.model))[1:].real / s
 
     ## row equilibration: entries span many orders of magnitude, which is
     ## physical (pump weights ~1e-4/s against detunings ~1e13/s)

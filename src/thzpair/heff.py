@@ -68,11 +68,20 @@ def _ops(n_trunc: int) -> _Ops:
     ops = _Ops(
         number, sz, np.kron(sx, eye), np.kron(sx, dagger(a) - a),
         np.kron(SP, dagger(a)), np.kron(SZ, a - dagger(a)), shift,
-        {int(d): shift == d for d in np.unique(shift)},
+        {d: shift == d for d in _distinct(shift)},
     )
     for m in (*ops[:-1], *ops.masks.values()):
         m.setflags(write=False)
     return ops
+
+
+def _distinct(a: np.ndarray) -> list:
+    """Sorted distinct entries of an integer array, as Python ints.
+
+    np.unique would do, but it imports numpy.ma on its first call, about a
+    tenth of a cold verify-heff run.
+    """
+    return sorted(set(a.ravel().tolist()))
 
 
 def _mode_truncation(h: dict) -> int:
@@ -134,8 +143,8 @@ def rotate_frame(h: dict, omegaL: float) -> dict:
     work[0] = work.get(0, 0.0) - omegaL * ops.number - omegaL * ops.sz
     out: dict = {}
     for n, m in work.items():
-        for delta in np.unique(ops.shift[m != 0.0]):
-            _accumulate(out, n + int(delta), np.where(ops.masks[int(delta)], m, 0.0))
+        for delta in _distinct(ops.shift[m != 0.0]):
+            _accumulate(out, n + delta, np.where(ops.masks[delta], m, 0.0))
     return dict(sorted(out.items()))
 
 

@@ -99,9 +99,11 @@ class PhysicalParams:
                     f"{label}/omegaL = {v / self.omegaL:.3g} >= 1: "
                     "second-order treatment of the drive is invalid"
                 )
+            ## the message carries no per-point value, so the default filter
+            ## shows it once per process rather than once per sweep point
             if v / self.omegaL > 0.25:
                 warnings.warn(
-                    f"{label}/omegaL = {v / self.omegaL:.3g} > 0.25; "
+                    f"{label}/omegaL > 0.25; "
                     "second-order drive corrections may be inaccurate",
                     PerturbativeDriveWarning,
                     stacklevel=2,
@@ -163,8 +165,9 @@ def from_physical(params: PhysicalParams) -> EffectiveModel:
     delta_eff = params.omega0 - params.omegaL + bs_shift
     pair_freq = params.omegaL - params.omega0 - bs_shift
     if pair_freq <= 0.0:
+        ## a constant message: shown once per process, not per sweep point
         warnings.warn(
-            f"pair channel closed: pair_freq = {pair_freq:.6g} <= 0",
+            "pair channel closed: pair_freq <= 0",
             PairChannelClosedWarning,
             stacklevel=2,
         )

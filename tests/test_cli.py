@@ -389,6 +389,20 @@ def test_module_invocation(tmp_path, child_env):
     assert len(read(out).splitlines()) == 3
 
 
+def test_closed_pair_channel_warns_once_per_sweep(tmp_path, child_env):
+    """18 of these 200 gan-dot points have a closed pair channel; the
+    warning's message is constant, so the default filter shows it once."""
+    cfg = tmp_path / "gd.cfg"
+    cfg.write_text("preset = gan-dot\nomega_max = 1e15\npoints = 200\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "thzpair.cli", "sweep", "--config", str(cfg),
+         "--output", str(tmp_path / "gd.csv")],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("PairChannelClosedWarning") == 1
+
+
 def test_module_invocation_error_path(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "thzpair.cli", "steady", "--preset", "bogus",

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thzpair.algebra import SM, SP
+from thzpair.algebra import SM, SP, dagger, expectation
 from thzpair.correlations import (
     CHANNEL_SOURCES,
     ChannelDarkError,
@@ -70,6 +70,32 @@ def test_zero_delay_values_at_working_points():
     assert cauchy_schwarz(ss).cs_rhs == pytest.approx(1.61e5, rel=2e-2)
     _, ss = setup_point(1e11)
     assert cauchy_schwarz(ss).cs_rhs == pytest.approx(1.60016e9, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "name, rabi",
+    [("gamma-globulin", 1e11), ("gamma-globulin", 1e12), ("gamma-globulin", 1e13),
+     ("gamma-globulin", 4.9e13), ("gan-dot", 1e12), ("gan-dot", 1e14)],
+)
+@pytest.mark.filterwarnings("ignore::thzpair.model.PerturbativeDriveWarning")
+def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
+    """The precomputed intensity and numerator operators give every
+    correlator bit for bit as the operator products formed afresh."""
+    ss = steady_state(build_adjoint_generator(from_physical(with_rabi(preset(name), rabi))))
+    rho = ss.rho
+
+    def mean(c):
+        b = CHANNEL_SOURCES[c]
+        return expectation(b @ dagger(b), rho).real
+
+    def corr(i, j):
+        bi, bj = CHANNEL_SOURCES[i], CHANNEL_SOURCES[j]
+        num = expectation(bi @ bj @ dagger(bj) @ dagger(bi), rho).real
+        return num / (mean(i) * mean(j))
+
+    rep = cauchy_schwarz(ss)
+    assert (rep.g11, rep.g22, rep.g12, rep.g21) == (corr(1, 1), corr(2, 2), corr(1, 2), corr(2, 1))
+    assert rep.cs_rhs == corr(1, 2) * corr(1, 2)
 
 
 def test_dark_channel_raises():

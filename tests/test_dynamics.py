@@ -15,15 +15,27 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
 from thzpair import dynamics
-from thzpair.algebra import ID, SM, SP, SZ, hs_decompose, hs_reconstruct
+from thzpair.algebra import (
+    ID,
+    PROJ_EXCITED,
+    PROJ_GROUND,
+    SM,
+    SP,
+    SZ,
+    expectation,
+    hs_decompose,
+    hs_reconstruct,
+)
 from thzpair.correlations import g2_tau
 from thzpair.dynamics import (
+    BLOCH_RADIUS_TOL,
     AdjointGenerator,
     BlochState,
     DegenerateSteadyStateError,
     NoRelaxationError,
     PhysicalityError,
     _dual_image,
+    _ground_image,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -63,6 +75,23 @@ def preset_model(name, rabi):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # closed pair channel, strong drive
         return from_physical(with_rabi(preset(name), rabi))
+
+
+def seeded_models():
+    """Log-uniform drives on both presets and radiative-only draws."""
+    rng = np.random.default_rng(37)
+    models = []
+    for name, rabi_max in (("gamma-globulin", 4.9e13), ("gan-dot", 1.2e15)):
+        for e in rng.uniform(11.0, math.log10(rabi_max), 20):
+            models.append(preset_model(name, 10.0**e))
+    for lg in rng.uniform(7.0, 13.0, (20, 3)):
+        models.append(rad_only(10.0 ** lg[0] * rng.choice([-1, 1]), 10.0 ** lg[1], 10.0 ** lg[2]))
+    return models
+
+
+def bits(x):
+    """The bytes of a float or complex value, so -0.0 and 0.0 differ."""
+    return np.complex128(x).tobytes() if isinstance(x, complex) else np.float64(x).tobytes()
 
 
 # --- generator structure ------------------------------------------------------
@@ -128,6 +157,13 @@ def test_dual_generator_matches_the_operator_wise_image(make):
         got = hs_decompose(_dual_image(g.model, x))
         want = dual @ hs_decompose(x)
         assert np.max(np.abs(got - want)) <= 1e-13 * scale * np.linalg.norm(x)
+
+
+def test_ground_image_is_the_operator_wise_image_bit_for_bit():
+    """steady_state's right-hand side, from the precomputed channel images of
+    the ground projector, is exactly _dual_image's evaluation."""
+    for m in seeded_models():
+        assert _ground_image(m).tobytes() == _dual_image(m, PROJ_GROUND).tobytes()
 
 
 def test_generator_matrix_is_read_only():
@@ -403,6 +439,43 @@ def test_flow_is_a_semigroup(m, op, f1, f2):
     assert np.max(np.abs(direct - split)) <= tol
 
 
+@given(MODELS, st.sampled_from([ground_state, excited_state]))
+def test_long_time_limit_is_the_steady_state(m, start):
+    """After 30/gamma_R the slowest mode has decayed by e^-30 or more, so the
+    flow from either pole sits on the steady state up to the phase floor."""
+    g = build_adjoint_generator(m)
+    t = 30.0 / m.gamma_R
+    rho = propagate(g, start(), t).rho
+    s = max(m.omega_rabi, abs(m.delta_eff), m.gamma_R)
+    tol = 1e-12 + 2.0 * np.finfo(float).eps * s * t
+    assert np.max(np.abs(rho - steady_state(g).rho)) <= tol
+
+
+@st.composite
+def pure_states(draw):
+    """A density matrix on the surface of the Bloch ball."""
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v, norm = np.array([0.0, 0.0, -1.0]), 1.0  # ground
+    x, y, z = v / (2.0 * norm)
+    return 0.5 * ID + x * (SP + SM) + y * 1j * (SP - SM) + 2.0 * z * SZ
+
+
+TRAJECTORY = np.concatenate(([0.0], np.geomspace(1e-4, 30.0, 24)))  # in 1/gamma_R
+
+
+@given(preset_models(), pure_states())
+def test_trajectories_stay_in_the_bloch_ball(m, rho0):
+    """Inside the validity domain the non-Lindblad cross channels never push
+    a state, not even a pure one, out of the Bloch ball."""
+    g = build_adjoint_generator(m)
+    for f in TRAJECTORY:
+        rho = propagate_dual(g, rho0, f / m.gamma_R)
+        radius2 = abs(expectation(SP, rho)) ** 2 + expectation(SZ, rho).real ** 2
+        assert radius2 <= 0.25 + BLOCH_RADIUS_TOL
+
+
 def test_negative_time_rejected():
     g = strong_drive_generator()
     with pytest.raises(ValueError, match="t must be >= 0"):
@@ -528,6 +601,21 @@ def test_reference_states():
     assert ground_state().p_excited == 0.0
     assert excited_state().s_z == 0.5
     assert excited_state().s_plus == 0.0
+
+
+def test_expectation_views_read_rho_bit_for_bit():
+    """s_plus, s_minus, s_z and p_excited read rho's entries; each equals
+    expectation(Q, rho) to the last bit, sign of zero included."""
+    states = [ground_state(), excited_state(), BlochState(0.5 * (ID + SP + SM))]
+    for m in seeded_models():
+        g = build_adjoint_generator(m)
+        states += [steady_state(g), propagate(g, excited_state(), 1.0 / m.gamma_R)]
+    for state in states:
+        rho = state.rho
+        assert bits(state.s_plus) == bits(expectation(SP, rho))
+        assert bits(state.s_minus) == bits(expectation(SM, rho))
+        assert bits(state.s_z) == bits(expectation(SZ, rho).real)
+        assert bits(state.p_excited) == bits(expectation(PROJ_EXCITED, rho).real)
 
 
 def test_bloch_state_validation():

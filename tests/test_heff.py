@@ -1,5 +1,8 @@
 """Numerical re-derivation of the effective-model coefficients."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -205,3 +208,19 @@ def test_missing_pair_pattern_is_flagged():
     assert pair.measured == 0
     assert pair.deviation == 1.0
     assert pair.note == "operator pattern missing from the averaged Hamiltonian"
+
+
+def test_verify_heff_does_not_load_numpy_ma(child_env):
+    """np.unique imports numpy.ma on its first call, a tenth of a cold
+    verify-heff run; the harmonic bookkeeping does without it."""
+    code = (
+        "import sys\n"
+        "from thzpair import cli\n"
+        "assert cli.main(['verify-heff', '--preset', 'gamma-globulin', '--rabi', '1e12']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
