@@ -62,7 +62,7 @@ class SweepSpec:
         return np.linspace(self.omega_min, self.omega_max, self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     omega_rabi: float
     sz: float
@@ -81,17 +81,8 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
     gen = dynamics.build_adjoint_generator(eff)
     ss = dynamics.steady_state(gen)
     rep = correlations.cauchy_schwarz(ss)
-    return SweepRow(
-        omega_rabi=omega,
-        sz=ss.s_z,
-        p2=ss.p_excited,
-        g12=rep.g12,
-        g21=rep.g21,
-        cs_lhs=rep.cs_lhs,
-        cs_rhs=rep.cs_rhs,
-        violated=rep.violated,
-        pair_freq=eff.pair_freq,
-    )
+    return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
+                    rep.violated, float(eff.pair_freq))
 
 
 def _sweep_point_guarded(base: model.PhysicalParams, omega: float) -> SweepRow:
@@ -111,7 +102,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     default 200-point grid on a 2-core machine).  ``workers`` is still
     accepted so that callers passing it keep working.
     """
-    return [_sweep_point_guarded(spec.base, w) for w in spec.grid()]
+    return [_sweep_point_guarded(spec.base, w) for w in spec.grid().tolist()]
 
 
 def _fmt(x: float) -> str:
@@ -122,21 +113,8 @@ def sweep_csv(rows) -> str:
     """Deterministic CSV serialization, 9 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.omega_rabi),
-                    _fmt(r.sz),
-                    _fmt(r.p2),
-                    _fmt(r.g12),
-                    _fmt(r.g21),
-                    _fmt(r.cs_lhs),
-                    _fmt(r.cs_rhs),
-                    "true" if r.violated else "false",
-                    _fmt(r.pair_freq),
-                ]
-            )
-        )
+        values = map(_fmt, (r.omega_rabi, r.sz, r.p2, r.g12, r.g21, r.cs_lhs, r.cs_rhs))
+        lines.append(",".join([*values, "true" if r.violated else "false", _fmt(r.pair_freq)]))
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SM, SP, dagger, expectation
+from .algebra import SM, SP, dagger
 from .dynamics import AdjointGenerator, BlochState, propagate_dual
 
 __all__ = [
@@ -43,21 +43,30 @@ class ChannelDarkError(RuntimeError):
 # Field-source operator of each emission channel: 1 low-frequency, 2 optical.
 CHANNEL_SOURCES = {1: SM, 2: SP}
 
-# Normal-ordered intensity operator B B^dag of each channel, and the
-# zero-delay numerator B_i B_j B_j^dag B_i^dag of each ordered channel pair.
+# Normal-ordered intensity operator B B^dag of each channel.
 _INTENSITY = {c: b @ dagger(b) for c, b in CHANNEL_SOURCES.items()}
-_NUMERATOR = {
-    (i, j): bi @ bj @ dagger(bj) @ dagger(bi)
+
+
+def _diagonal(op: np.ndarray) -> tuple:
+    assert not op[0, 1] and not op[1, 0], "operator is not diagonal"
+    return tuple(op.diagonal().real.tolist())
+
+
+# For S+ and S- each intensity and each zero-delay numerator
+# B_i B_j B_j^dag B_i^dag is diagonal (a projector or zero), so its
+# expectation reads off rho's populations p as d0*p0 + d1*p1.  That is
+# Tr(rho op) bit for bit: the other terms of the trace are signed zeros, and
+# d0*p0 is never -0 for a physical rho.
+_INTENSITY_DIAG = {c: _diagonal(op) for c, op in _INTENSITY.items()}
+_NUMERATOR_DIAG = {
+    (i, j): _diagonal(bi @ bj @ dagger(bj) @ dagger(bi))
     for i, bi in CHANNEL_SOURCES.items()
     for j, bj in CHANNEL_SOURCES.items()
 }
 
 
-def _intensity(channel: int) -> np.ndarray:
-    try:
-        return _INTENSITY[channel]
-    except KeyError:
-        raise ValueError(f"channel must be 1 or 2, got {channel}") from None
+def _read(diag: tuple, pops: list) -> float:
+    return diag[0] * pops[0] + diag[1] * pops[1]
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,11 @@ class CorrelationReport:
     violated: bool
 
 
-def _mean_intensity(channel: int, rho: np.ndarray) -> float:
-    value = expectation(_intensity(channel), rho).real
+def _mean_intensity(channel: int, pops: list) -> float:
+    try:
+        value = _read(_INTENSITY_DIAG[channel], pops)
+    except KeyError:
+        raise ValueError(f"channel must be 1 or 2, got {channel}") from None
     if value <= _INTENSITY_FLOOR:
         raise ChannelDarkError(
             f"channel {channel} is dark (mean intensity {value:.3g})"
@@ -82,15 +94,11 @@ def _mean_intensity(channel: int, rho: np.ndarray) -> float:
     return value
 
 
-def _g2_zero(i: int, j: int, rho: np.ndarray, den: float) -> float:
-    """g_ij(0) given den, the product of the two mean intensities."""
-    return expectation(_NUMERATOR[i, j], rho).real / den
-
-
 def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
     """Normalized zero-delay cross-correlation of channels i then j."""
-    rho = rho_ss.rho
-    return _g2_zero(i, j, rho, _mean_intensity(i, rho) * _mean_intensity(j, rho))
+    pops = rho_ss.rho.diagonal().real.tolist()
+    den = _mean_intensity(i, pops) * _mean_intensity(j, pops)
+    return _read(_NUMERATOR_DIAG[i, j], pops) / den
 
 
 def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
@@ -101,24 +109,16 @@ def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
     cs_lhs = 0 and any nonzero cross-correlation violates the classical
     bound cs_lhs >= cs_rhs.
     """
-    rho = rho_ss.rho
-    n1 = _mean_intensity(1, rho)
-    n2 = _mean_intensity(2, rho)
-    g11 = _g2_zero(1, 1, rho, n1 * n1)
-    g22 = _g2_zero(2, 2, rho, n2 * n2)
-    g12 = _g2_zero(1, 2, rho, n1 * n2)
-    g21 = _g2_zero(2, 1, rho, n2 * n1)
+    pops = rho_ss.rho.diagonal().real.tolist()
+    n1 = _mean_intensity(1, pops)
+    n2 = _mean_intensity(2, pops)
+    g11 = _read(_NUMERATOR_DIAG[1, 1], pops) / (n1 * n1)
+    g22 = _read(_NUMERATOR_DIAG[2, 2], pops) / (n2 * n2)
+    g12 = _read(_NUMERATOR_DIAG[1, 2], pops) / (n1 * n2)
+    g21 = _read(_NUMERATOR_DIAG[2, 1], pops) / (n2 * n1)
     cs_lhs = g11 * g22
     cs_rhs = g12 * g12
-    return CorrelationReport(
-        g11=g11,
-        g22=g22,
-        g12=g12,
-        g21=g21,
-        cs_lhs=cs_lhs,
-        cs_rhs=cs_rhs,
-        violated=bool(cs_lhs < cs_rhs),
-    )
+    return CorrelationReport(g11, g22, g12, g21, cs_lhs, cs_rhs, bool(cs_lhs < cs_rhs))
 
 
 def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) -> list:
@@ -134,10 +134,11 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
         raise ValueError("tau_grid must be non-negative")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
-    den = _mean_intensity(i, rho_ss.rho) * _mean_intensity(j, rho_ss.rho)
+    pops = rho_ss.rho.diagonal().real.tolist()
+    den = _mean_intensity(i, pops) * _mean_intensity(j, pops)
     bi = CHANNEL_SOURCES[i]
     collapsed = dagger(bi) @ rho_ss.rho @ bi
-    intensity_j = _intensity(j)
+    intensity_j = _INTENSITY[j]
     out = []
     for tau in taus:
         evolved = propagate_dual(g, collapsed, tau)

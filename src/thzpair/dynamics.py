@@ -228,8 +228,7 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
 
     Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
     structural zeros of rho survive exactly (no eps-sized residue from
-    cancelling matrix entries).  steady_state seeds its solve with this
-    image of the ground projector, as formed by _ground_image.
+    cancelling matrix entries).  The tests check _GROUND_RHS against it.
     """
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     out = -1j * commutator(h0, rho)
@@ -238,22 +237,33 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-## The unit-weight channel images of the ground projector depend on no model
-## parameter, so they are formed once; per point only the weights change.
-_GROUND_IMAGES = tuple(_channel_image(PROJ_GROUND, *channel) for channel in _CHANNELS)
+## Traceless HS coefficients of the ground projector's image L(|1><1|) under
+## unit delta_eff, unit Omega and each unit-weight channel, one row each, so
+## that L(|1><1|) = (delta_eff, omega_rabi, *_weights(model)) @ _GROUND_RHS.
+## Each Bloch component of that image comes from one term alone (the drive
+## gives sigma_y, cross channel 2 sigma_x, the pump sigma_z; the rest vanish),
+## so the dot product rounds exactly as the operator-wise _dual_image does.
+_GROUND_RHS = np.array([hs_decompose(image)[1:].real for image in (
+    -1j * commutator(SZ, PROJ_GROUND),
+    -1j * commutator(0.5 * (SP + SM), PROJ_GROUND),
+    *(-_channel_image(PROJ_GROUND, *channel) for channel in _CHANNELS),
+)])
+_GROUND_RHS.setflags(write=False)
 
-
-def _ground_image(model: EffectiveModel) -> np.ndarray:
-    """_dual_image(model, PROJ_GROUND), bit for bit: the same terms in the
-    same order, with the channel images taken from _GROUND_IMAGES."""
-    h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
-    out = -1j * commutator(h0, PROJ_GROUND)
-    for image, w in zip(_GROUND_IMAGES, _weights(model)):
-        out = out - w * image
-    return out
-
+## hs_reconstruct's weights of x1 on Re rho[1,0], x2 on Im rho[1,0], x3 on rho[1,1]
+_RE, _IM, _POP = (HS_BASIS[1][1, 0].real.item(), HS_BASIS[2][1, 0].imag.item(),
+                  HS_BASIS[3][1, 1].real.item())
 
 _GROUND_COEFFS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+
+
+def _rho_off_ground(xr: np.ndarray) -> np.ndarray:
+    """PROJ_GROUND + hs_reconstruct([0, *xr]), entry by entry and bit for bit,
+    signed zeros included.  Assembling additively off the ground projector
+    keeps rho[1,1] clear of a 1/2 - (1/2 - p2) subtraction."""
+    x1, x2, x3 = xr.tolist()
+    re, im, pop = x1 * _RE, x2 * _IM, x3 * _POP
+    return PROJ_GROUND + np.array([[-pop, complex(re, -im)], [complex(re, im), pop]])
 
 
 def _scale(model: EffectiveModel, matrix: np.ndarray) -> float:
@@ -270,21 +280,23 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     The trace component is conserved exactly (first dual row is zero), so
     the problem reduces to a 3x3 solve for the traceless components.
     """
-    if max(abs(w) for w in _weights(g.model)) == 0.0:
+    model = g.model
+    weights = _weights(model)
+    if max(abs(w) for w in weights) == 0.0:
         raise NoRelaxationError("all dissipative channel weights are zero")
-    s = _scale(g.model, g.matrix)
+    s = _scale(model, g.matrix)
     dual = dual_generator(g) / s
     m = dual[1:, 1:]
     ## Solve for the deviation from the ground state, coefficients
     ## (1/sqrt2, 0, 0, -1/sqrt2), not for the state itself: a weakly driven
     ## steady state sits within ~1e-12 of ground, and subtracting two O(1)
     ## coefficients afterwards would erase the excited population.
-    br = -hs_decompose(_ground_image(g.model))[1:].real / s
+    br = -(np.array([model.delta_eff, model.omega_rabi, *weights]) @ _GROUND_RHS) / s
 
     ## row equilibration: entries span many orders of magnitude, which is
     ## physical (pump weights ~1e-4/s against detunings ~1e13/s)
-    norms = np.max(np.abs(m), axis=1)
-    if np.any(norms == 0.0):
+    norms = np.abs(m).max(axis=1)
+    if not norms.all():
         raise DegenerateSteadyStateError("generator row vanishes; nullspace > 1D")
     aa = m / norms[:, None]
     bb = br / norms
@@ -296,17 +308,14 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     xr = np.linalg.solve(aa, bb)
     xr = xr + np.linalg.solve(aa, bb - aa @ xr)  # one step of iterative refinement
 
-    delta = [0.0, *xr]
-    coeffs = delta + _GROUND_COEFFS
+    coeffs = np.array([0.0, *xr]) + _GROUND_COEFFS
     residual = np.linalg.norm(dual @ coeffs) * s
-    limit = 1e-10 * float(np.max(np.abs(g.matrix)))
+    limit = 1e-10 * float(np.abs(g.matrix).max())
     if residual > limit:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual:.3g} exceeds {limit:.3g}"
         )
-    ## assemble additively off the ground projector so rho[1,1] never goes
-    ## through a 1/2 - (1/2 - p2) subtraction
-    return BlochState(PROJ_GROUND + hs_reconstruct(delta))
+    return BlochState(_rho_off_ground(xr))
 
 
 ## Padé [13/13] numerator coefficients and the 1-norm up to which that

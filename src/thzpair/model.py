@@ -15,6 +15,7 @@ parameters to the coefficients of that rotating-frame picture.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -106,13 +107,22 @@ class PhysicalParams:
                     f"{label}/omegaL > 0.25; "
                     "second-order drive corrections may be inaccurate",
                     PerturbativeDriveWarning,
-                    stacklevel=2,
+                    stacklevel=_caller_level(),
                 )
 
     @property
     def g_asym(self) -> float:
         """Asymmetry drive G = dipole_ratio * rabi (1/s)."""
         return self.dipole_ratio * self.rabi
+
+
+def _caller_level() -> int:
+    """Stacklevel, from __post_init__, of the first frame outside this module
+    and the dataclass machinery: the caller of PhysicalParams or with_rabi."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def rabi_from_field(e0_field: float, p12_debye: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config layering, exit codes, CSV."""
 
 import argparse
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +58,33 @@ def test_sweep_csv_matches_golden_bytes(name, tag, grid):
     rows = cli.run_sweep(cli.SweepSpec(base=preset(name), **grid))
     golden = (GOLDEN / f"sweep_{name}_{tag}.csv").read_bytes()
     assert cli.sweep_csv(rows).encode() == golden
+
+
+@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
+@pytest.mark.parametrize(
+    "tag, flags", [("default", []), ("linear50", ["--points", "50", "--linear"])]
+)
+def test_sweep_command_writes_the_golden_bytes(name, tag, flags, tmp_path):
+    """The file the sweep subcommand writes, through _write_text, is the same
+    byte contract: no newline translation, no encoding drift."""
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--preset", name, "--output", str(out), *flags]) == 0
+    assert out.read_bytes() == (GOLDEN / f"sweep_{name}_{tag}.csv").read_bytes()
+
+
+def test_sweep_rows_are_slotted_and_hold_python_floats():
+    """A row holds plain floats in slots, with no per-instance __dict__, so
+    a caller that keeps many rows pays little per point; dataclasses.replace
+    still derives a changed copy."""
+    rows = cli.run_sweep(cli.SweepSpec(base=preset("gan-dot"), points=5))
+    for r in rows:
+        assert not hasattr(r, "__dict__")
+        values = [getattr(r, f.name) for f in dataclasses.fields(r)]
+        assert [type(v) for v in values] == [float] * 7 + [bool, float, bool]
+    bad = dataclasses.replace(rows[0], p2=2.0)
+    assert bad.p2 == 2.0 and bad.g12 == rows[0].g12 and rows[0].p2 != 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rows[0].p2 = 2.0
 
 
 def test_sweep_rows_identical_across_worker_counts():

@@ -7,14 +7,24 @@ import pytest
 
 from thzpair.algebra import SM, SP, dagger, expectation
 from thzpair.correlations import (
+    _INTENSITY_DIAG,
+    _NUMERATOR_DIAG,
     CHANNEL_SOURCES,
     ChannelDarkError,
     CorrelationReport,
+    _read,
     cauchy_schwarz,
     g2_tau,
     g2_zero,
 )
-from thzpair.dynamics import build_adjoint_generator, steady_state
+from thzpair.dynamics import (
+    BlochState,
+    build_adjoint_generator,
+    excited_state,
+    ground_state,
+    propagate,
+    steady_state,
+)
 from thzpair.model import from_physical, preset, with_rabi
 
 
@@ -79,8 +89,8 @@ def test_zero_delay_values_at_working_points():
 )
 @pytest.mark.filterwarnings("ignore::thzpair.model.PerturbativeDriveWarning")
 def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
-    """The precomputed intensity and numerator operators give every
-    correlator bit for bit as the operator products formed afresh."""
+    """The populations-only reads give every correlator bit for bit as the
+    operator products formed afresh."""
     ss = steady_state(build_adjoint_generator(from_physical(with_rabi(preset(name), rabi))))
     rho = ss.rho
 
@@ -96,6 +106,33 @@ def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
     rep = cauchy_schwarz(ss)
     assert (rep.g11, rep.g22, rep.g12, rep.g21) == (corr(1, 1), corr(2, 2), corr(1, 2), corr(2, 1))
     assert rep.cs_rhs == corr(1, 2) * corr(1, 2)
+
+
+def test_diagonal_reads_are_the_operator_products_bit_for_bit():
+    """Both mean intensities and all four zero-delay numerators, read off
+    rho's populations, equal expectation() of the operator products to the
+    last bit, sign of zero included."""
+    states = [ground_state(), excited_state(), BlochState(0.5 * np.eye(2) + 0.3 * (SP + SM))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strong drive, closed pair channel
+        for name, hi in (("gamma-globulin", 13.69), ("gan-dot", 15.0)):
+            for e in np.linspace(11.0, hi, 12):
+                g = build_adjoint_generator(from_physical(with_rabi(preset(name), 10.0**e)))
+                ss = steady_state(g)
+                states += [ss, propagate(g, excited_state(), 0.3 / g.model.gamma_R)]
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for state in states:
+        rho = state.rho
+        pops = rho.diagonal().real.tolist()
+        for c, b in CHANNEL_SOURCES.items():
+            want = expectation(b @ dagger(b), rho).real
+            assert bits(_read(_INTENSITY_DIAG[c], pops)) == bits(want)
+        for (i, j), diag in _NUMERATOR_DIAG.items():
+            bi, bj = CHANNEL_SOURCES[i], CHANNEL_SOURCES[j]
+            want = expectation(bi @ bj @ dagger(bj) @ dagger(bi), rho).real
+            assert bits(_read(diag, pops)) == bits(want)
 
 
 def test_dark_channel_raises():

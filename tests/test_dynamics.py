@@ -34,8 +34,9 @@ from thzpair.dynamics import (
     DegenerateSteadyStateError,
     NoRelaxationError,
     PhysicalityError,
+    _GROUND_RHS,
     _dual_image,
-    _ground_image,
+    _weights,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -159,11 +160,28 @@ def test_dual_generator_matches_the_operator_wise_image(make):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale * np.linalg.norm(x)
 
 
-def test_ground_image_is_the_operator_wise_image_bit_for_bit():
-    """steady_state's right-hand side, from the precomputed channel images of
-    the ground projector, is exactly _dual_image's evaluation."""
+def test_ground_rhs_table_is_the_operator_wise_image_bit_for_bit():
+    """steady_state's right-hand side, the model's seven scalars dotted with
+    the constant _GROUND_RHS table, is exactly the traceless part of
+    _dual_image's evaluation, signed zeros included."""
+    assert _GROUND_RHS.shape == (7, 3)
     for m in seeded_models():
-        assert _ground_image(m).tobytes() == _dual_image(m, PROJ_GROUND).tobytes()
+        got = np.array([m.delta_eff, m.omega_rabi, *_weights(m)]) @ _GROUND_RHS
+        want = hs_decompose(_dual_image(m, PROJ_GROUND))[1:].real
+        assert got.tobytes() == want.tobytes()
+
+
+def test_rho_assembly_is_hs_reconstruct_bit_for_bit():
+    """steady_state's entry-wise assembly of rho from the Bloch coefficients
+    is PROJ_GROUND + hs_reconstruct, over drawn coefficients with signed
+    zeros and magnitudes down to 1e-20."""
+    rng = np.random.default_rng(41)
+    for k in range(600):
+        xr = rng.standard_normal(3) * 10.0 ** rng.uniform(-20.0, 0.0, 3)
+        xr[k % 3] = (0.0, -0.0, xr[k % 3], xr[k % 3])[k % 4]
+        assert dynamics._rho_off_ground(xr).tobytes() == (
+            PROJ_GROUND + hs_reconstruct([0.0, *xr])
+        ).tobytes()
 
 
 def test_generator_matrix_is_read_only():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -203,6 +204,37 @@ def test_strong_drive_warning_and_hard_limit():
         )
     with pytest.raises(ValueError, match="second-order treatment"):
         PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=6e15)
+
+
+def test_strong_drive_warning_names_the_calling_line(tmp_path):
+    """PerturbativeDriveWarning points at the caller, never at the
+    dataclass-generated __init__ (``<string>``): the line that constructs
+    the params, the line that calls with_rabi, and for the CLI a line of the
+    package's own cli module."""
+    from thzpair import cli
+
+    def caught(fn):
+        with warnings.catch_warnings(record=True) as ws:
+            warnings.simplefilter("always")
+            fn()
+        drive = [w for w in ws if issubclass(w.category, PerturbativeDriveWarning)]
+        assert drive
+        return drive
+
+    for fn in (
+        lambda: PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13)),
+        lambda: with_rabi(preset("gan-dot"), 2e15),
+    ):
+        for w in caught(fn):
+            assert (w.filename, w.lineno) == (__file__, fn.__code__.co_firstlineno)
+
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("preset = gan-dot\nomega_max = 2e15\npoints = 2\n", encoding="utf-8")
+    steady = ["steady", "--preset", "gamma-globulin", "--rabi", "2e15"]
+    sweep = ["sweep", "--config", str(cfg), "--output", str(tmp_path / "hot.csv")]
+    for argv in (steady, sweep):
+        for w in caught(lambda: cli.main(argv)):
+            assert Path(w.filename).parent == Path(cli.__file__).parent, w.filename
 
 
 def test_params_are_immutable():
