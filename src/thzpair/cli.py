@@ -76,21 +76,22 @@ class SweepRow:
     failed: bool = False
 
 
-def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
-    eff = model.from_physical(model.with_rabi(base, omega))
+def _solve(params: model.PhysicalParams) -> tuple:
+    """(EffectiveModel, AdjointGenerator, steady BlochState) at params."""
+    eff = model.from_physical(params)
     gen = dynamics.build_adjoint_generator(eff)
-    ss = dynamics.steady_state(gen)
-    rep = correlations.cauchy_schwarz(ss)
-    return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
-                    rep.violated, float(eff.pair_freq))
+    return eff, gen, dynamics.steady_state(gen)
 
 
-def _sweep_point_guarded(base: model.PhysicalParams, omega: float) -> SweepRow:
+def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
     try:
-        return _sweep_point(base, omega)
+        eff, _, ss = _solve(model.with_rabi(base, omega))
+        rep = correlations.cauchy_schwarz(ss)
     except (ValueError, *_DEGENERATE):  # ValueError includes ConfigError and LinAlgError
         nan = float("nan")
         return SweepRow(omega, nan, nan, nan, nan, nan, nan, False, nan, failed=True)
+    return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
+                    rep.violated, float(eff.pair_freq))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -102,7 +103,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     default 200-point grid on a 2-core machine).  ``workers`` is still
     accepted so that callers passing it keep working.
     """
-    return [_sweep_point_guarded(spec.base, w) for w in spec.grid().tolist()]
+    return [_sweep_point(spec.base, w) for w in spec.grid().tolist()]
 
 
 def _fmt(x: float) -> str:
@@ -164,9 +165,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_steady(args) -> int:
     params, _ = _resolve(args)
-    eff = model.from_physical(params)
-    gen = dynamics.build_adjoint_generator(eff)
-    ss = dynamics.steady_state(gen)
+    eff, _, ss = _solve(params)
     print(f"omega_rabi   = {_fmt(eff.omega_rabi)}  1/s")
     print(f"sz           = {_fmt(ss.s_z)}")
     print(f"p2           = {_fmt(ss.p_excited)}")
@@ -197,14 +196,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_correlate(args) -> int:
     params, _ = _resolve(args)
-    eff = model.from_physical(params)
-    gen = dynamics.build_adjoint_generator(eff)
-    ss = dynamics.steady_state(gen)
-    tau_max = args.tau_max
-    if tau_max is None:
-        if eff.gamma_R <= 0:
-            raise model.ConfigError("tau-max required when gamma_R is zero")
-        tau_max = 10.0 / eff.gamma_R
+    eff, gen, ss = _solve(params)
+    # from_physical gives gamma_R >= gamma0 > 0
+    tau_max = 10.0 / eff.gamma_R if args.tau_max is None else args.tau_max
     if not 0.0 < tau_max < math.inf:  # also rejects nan
         raise model.ConfigError(f"tau-max must be finite and > 0, got {tau_max}")
     if args.tau_points < 1:

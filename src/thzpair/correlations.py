@@ -43,21 +43,17 @@ class ChannelDarkError(RuntimeError):
 # Field-source operator of each emission channel: 1 low-frequency, 2 optical.
 CHANNEL_SOURCES = {1: SM, 2: SP}
 
-# Normal-ordered intensity operator B B^dag of each channel.
-_INTENSITY = {c: b @ dagger(b) for c, b in CHANNEL_SOURCES.items()}
-
 
 def _diagonal(op: np.ndarray) -> tuple:
     assert not op[0, 1] and not op[1, 0], "operator is not diagonal"
     return tuple(op.diagonal().real.tolist())
 
 
-# For S+ and S- each intensity and each zero-delay numerator
-# B_i B_j B_j^dag B_i^dag is diagonal (a projector or zero), so its
-# expectation reads off rho's populations p as d0*p0 + d1*p1.  That is
-# Tr(rho op) bit for bit: the other terms of the trace are signed zeros, and
-# d0*p0 is never -0 for a physical rho.
-_INTENSITY_DIAG = {c: _diagonal(op) for c, op in _INTENSITY.items()}
+# For S+ and S- each normal-ordered intensity B B^dag and each zero-delay
+# numerator B_i B_j B_j^dag B_i^dag is diagonal (a projector or zero), so its
+# expectation reads off an operator's populations p as d0*p0 + d1*p1.  That
+# is Tr(rho op) bit for bit: the other terms of the trace are signed zeros.
+_INTENSITY_DIAG = {c: _diagonal(b @ dagger(b)) for c, b in CHANNEL_SOURCES.items()}
 _NUMERATOR_DIAG = {
     (i, j): _diagonal(bi @ bj @ dagger(bj) @ dagger(bi))
     for i, bi in CHANNEL_SOURCES.items()
@@ -109,13 +105,7 @@ def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
     cs_lhs = 0 and any nonzero cross-correlation violates the classical
     bound cs_lhs >= cs_rhs.
     """
-    pops = rho_ss.rho.diagonal().real.tolist()
-    n1 = _mean_intensity(1, pops)
-    n2 = _mean_intensity(2, pops)
-    g11 = _read(_NUMERATOR_DIAG[1, 1], pops) / (n1 * n1)
-    g22 = _read(_NUMERATOR_DIAG[2, 2], pops) / (n2 * n2)
-    g12 = _read(_NUMERATOR_DIAG[1, 2], pops) / (n1 * n2)
-    g21 = _read(_NUMERATOR_DIAG[2, 1], pops) / (n2 * n1)
+    g11, g22, g12, g21 = (g2_zero(i, j, rho_ss) for i, j in ((1, 1), (2, 2), (1, 2), (2, 1)))
     cs_lhs = g11 * g22
     cs_rhs = g12 * g12
     return CorrelationReport(g11, g22, g12, g21, cs_lhs, cs_rhs, bool(cs_lhs < cs_rhs))
@@ -138,9 +128,9 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
     den = _mean_intensity(i, pops) * _mean_intensity(j, pops)
     bi = CHANNEL_SOURCES[i]
     collapsed = dagger(bi) @ rho_ss.rho @ bi
-    intensity_j = _INTENSITY[j]
+    intensity_j = _INTENSITY_DIAG[j]
     out = []
     for tau in taus:
         evolved = propagate_dual(g, collapsed, tau)
-        out.append(float(np.trace(evolved @ intensity_j).real) / den)
+        out.append(_read(intensity_j, evolved.diagonal().real.tolist()) / den)
     return out

@@ -223,26 +223,12 @@ def dual_generator(g: AdjointGenerator) -> np.ndarray:
     return g.matrix.T
 
 
-def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
-    """State-picture image L(rho), evaluated operator-wise.
-
-    Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
-    structural zeros of rho survive exactly (no eps-sized residue from
-    cancelling matrix entries).  The tests check _GROUND_RHS against it.
-    """
-    h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
-    out = -1j * commutator(h0, rho)
-    for channel, w in zip(_CHANNELS, _weights(model)):
-        out = out - w * _channel_image(rho, *channel)
-    return out
-
-
 ## Traceless HS coefficients of the ground projector's image L(|1><1|) under
 ## unit delta_eff, unit Omega and each unit-weight channel, one row each, so
 ## that L(|1><1|) = (delta_eff, omega_rabi, *_weights(model)) @ _GROUND_RHS.
 ## Each Bloch component of that image comes from one term alone (the drive
 ## gives sigma_y, cross channel 2 sigma_x, the pump sigma_z; the rest vanish),
-## so the dot product rounds exactly as the operator-wise _dual_image does.
+## so the dot product rounds exactly as the tests' operator-wise L(|1><1|).
 _GROUND_RHS = np.array([hs_decompose(image)[1:].real for image in (
     -1j * commutator(SZ, PROJ_GROUND),
     -1j * commutator(0.5 * (SP + SM), PROJ_GROUND),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 __all__ = [
     "DEBYE",
@@ -79,8 +79,7 @@ class PhysicalParams:
     gamma0: float = 3e6
 
     def __post_init__(self):
-        for name in ("omega0", "omegaL", "rabi", "dipole_ratio", "gamma0"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():  # the fields, in order
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ValueError(f"{name} must be finite, got {v!r}")
         if self.omega0 <= 0:
@@ -285,9 +284,9 @@ def parse_config(text: str) -> dict:
 def params_from_mapping(mapping: dict) -> PhysicalParams:
     """Build PhysicalParams from a merged configuration mapping.
 
-    The mapping may carry a 'preset' name whose fields act as defaults.
-    The drive is either 'rabi' directly or 'e0_field' + 'p12_debye'
-    (mutually exclusive).
+    The mapping may carry a 'preset' name whose fields act as defaults;
+    without one, PhysicalParams' own defaults apply.  The drive is either
+    'rabi' directly or 'e0_field' + 'p12_debye' (mutually exclusive).
     """
     m = dict(mapping)
     name = m.pop("preset", None)
@@ -298,31 +297,23 @@ def params_from_mapping(mapping: dict) -> PhysicalParams:
     if "e0_field" in m:
         if "p12_debye" not in m:
             raise ConfigError("e0_field needs p12_debye to fix the Rabi frequency")
-        rabi = rabi_from_field(m.pop("e0_field"), m.pop("p12_debye"))
+        m["rabi"] = rabi_from_field(m.pop("e0_field"), m.pop("p12_debye"))
     elif "p12_debye" in m:
         raise ConfigError("p12_debye given without e0_field")
-    else:
-        rabi = m.pop("rabi", base.rabi if base else None)
 
-    fields = {}
-    for key in ("omega0", "omegaL", "dipole_ratio", "gamma0"):
-        if key in m:
-            fields[key] = m.pop(key)
-        elif base is not None:
-            fields[key] = getattr(base, key)
-    if m:
-        raise ConfigError(f"unknown keys: {', '.join(sorted(m))}")
-
-    missing = [k for k in ("omega0", "omegaL") if k not in fields]
-    if missing:
-        raise ConfigError(
-            f"missing required parameter(s): {', '.join(missing)} "
-            "(give them explicitly or name a preset)"
-        )
-    fields.setdefault("dipole_ratio", 0.0)
-    fields.setdefault("gamma0", 3e6)
+    unknown = m.keys() - {f.name for f in fields(PhysicalParams)}
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+    if base is None:
+        missing = [f.name for f in fields(PhysicalParams)
+                   if f.default is MISSING and f.name not in m]
+        if missing:
+            raise ConfigError(
+                f"missing required parameter(s): {', '.join(missing)} "
+                "(give them explicitly or name a preset)"
+            )
     try:
-        return PhysicalParams(rabi=rabi if rabi is not None else 0.0, **fields)
+        return PhysicalParams(**m) if base is None else replace(base, **m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

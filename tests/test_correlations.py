@@ -23,6 +23,7 @@ from thzpair.dynamics import (
     excited_state,
     ground_state,
     propagate,
+    propagate_dual,
     steady_state,
 )
 from thzpair.model import from_physical, preset, with_rabi
@@ -111,8 +112,11 @@ def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
 def test_diagonal_reads_are_the_operator_products_bit_for_bit():
     """Both mean intensities and all four zero-delay numerators, read off
     rho's populations, equal expectation() of the operator products to the
-    last bit, sign of zero included."""
+    last bit, sign of zero included; so does each channel's intensity read
+    off the collapsed operators B_i^dag rho B_i that g2_tau evolves, against
+    Tr(op B_j B_j^dag), at delays from 0 to 10/gamma_R."""
     states = [ground_state(), excited_state(), BlochState(0.5 * np.eye(2) + 0.3 * (SP + SM))]
+    evolved = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # strong drive, closed pair channel
         for name, hi in (("gamma-globulin", 13.69), ("gan-dot", 15.0)):
@@ -120,6 +124,10 @@ def test_diagonal_reads_are_the_operator_products_bit_for_bit():
                 g = build_adjoint_generator(from_physical(with_rabi(preset(name), 10.0**e)))
                 ss = steady_state(g)
                 states += [ss, propagate(g, excited_state(), 0.3 / g.model.gamma_R)]
+                for b in CHANNEL_SOURCES.values():
+                    collapsed = dagger(b) @ ss.rho @ b
+                    evolved += [propagate_dual(g, collapsed, tau)
+                                for tau in np.linspace(0.0, 10.0 / g.model.gamma_R, 9)]
     def bits(x):
         return np.float64(x).tobytes()
 
@@ -133,6 +141,11 @@ def test_diagonal_reads_are_the_operator_products_bit_for_bit():
             bi, bj = CHANNEL_SOURCES[i], CHANNEL_SOURCES[j]
             want = expectation(bi @ bj @ dagger(bj) @ dagger(bi), rho).real
             assert bits(_read(diag, pops)) == bits(want)
+    for op in evolved:
+        pops = op.diagonal().real.tolist()
+        for c, b in CHANNEL_SOURCES.items():
+            want = float(np.trace(op @ (b @ dagger(b))).real)
+            assert bits(_read(_INTENSITY_DIAG[c], pops)) == bits(want)
 
 
 def test_dark_channel_raises():

@@ -22,6 +22,7 @@ from thzpair.algebra import (
     SM,
     SP,
     SZ,
+    commutator,
     expectation,
     hs_decompose,
     hs_reconstruct,
@@ -34,8 +35,9 @@ from thzpair.dynamics import (
     DegenerateSteadyStateError,
     NoRelaxationError,
     PhysicalityError,
+    _CHANNELS,
     _GROUND_RHS,
-    _dual_image,
+    _channel_image,
     _weights,
     build_adjoint_generator,
     dual_generator,
@@ -47,6 +49,21 @@ from thzpair.dynamics import (
     steady_state,
 )
 from thzpair.model import EffectiveModel, from_physical, preset, with_rabi
+
+
+def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
+    """State-picture image L(rho), evaluated operator-wise.
+
+    Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
+    structural zeros of rho survive exactly (no eps-sized residue from
+    cancelling matrix entries): the reference for the generator and for
+    _GROUND_RHS.
+    """
+    h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
+    out = -1j * commutator(h0, rho)
+    for channel, w in zip(_CHANNELS, _weights(model)):
+        out = out - w * _channel_image(rho, *channel)
+    return out
 
 
 def rad_only(delta, gamma_r, omega):

@@ -1,0 +1,16 @@
+"""The python examples of README.md run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run_standalone():
+    """Each python block runs in a namespace of its own: a block that uses a
+    name it does not import fails here as it would for a reader."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    for k, code in enumerate(blocks):
+        exec(compile(code, f"{README.name} python block {k}", "exec"), {"__name__": "readme"})
