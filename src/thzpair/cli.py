@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import correlations, dynamics, heff, model
+from .model import SweepSpec  # re-exported with the rest of the sweep API
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep", "sweep_csv", "main"]
 
@@ -23,8 +24,6 @@ EXIT_CONFIG = 1
 EXIT_DEGENERATE = 2
 EXIT_PARTIAL_SWEEP = 3
 
-CSV_HEADER = "omega_rabi,sz,p2,g12,g21,cs_lhs,cs_rhs,violated,pair_freq"
-
 # A solve that fails on its numerics or physics rather than on its input.
 _DEGENERATE = (
     dynamics.DegenerateSteadyStateError,
@@ -32,34 +31,6 @@ _DEGENERATE = (
     dynamics.PhysicalityError,
     correlations.ChannelDarkError,
 )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Rabi-frequency grid over a fixed set of base parameters."""
-
-    base: model.PhysicalParams
-    omega_min: float = 1e11
-    omega_max: float = 1e13
-    points: int = 200
-    spacing: str = "log"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega_min) and math.isfinite(self.omega_max)):
-            raise model.ConfigError("omega_min and omega_max must be finite")
-        if self.spacing not in ("log", "linear"):
-            raise model.ConfigError(f"spacing must be log or linear, got {self.spacing!r}")
-        if self.points < 2:
-            raise model.ConfigError("points must be >= 2")
-        if self.omega_max <= self.omega_min:
-            raise model.ConfigError("omega_max must exceed omega_min")
-        if self.spacing == "log" and self.omega_min <= 0:
-            raise model.ConfigError("log spacing needs omega_min > 0")
-
-    def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.omega_min, self.omega_max, self.points)
-        return np.linspace(self.omega_min, self.omega_max, self.points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,19 +81,21 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
+# The CSV columns are SweepRow's fields but ``failed``, formatted by field type.
+_CELL = {"float": _fmt, "bool": lambda b: "true" if b else "false"}
+_COLUMNS = [(f.name, _CELL[f.type]) for f in fields(SweepRow) if f.name != "failed"]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+
+
 def sweep_csv(rows) -> str:
     """Deterministic CSV serialization, 9 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        values = map(_fmt, (r.omega_rabi, r.sz, r.p2, r.g12, r.g21, r.cs_lhs, r.cs_rhs))
-        lines.append(",".join([*values, "true" if r.violated else "false", _fmt(r.pair_freq)]))
+        lines.append(",".join([cell(getattr(r, name)) for name, cell in _COLUMNS]))
     return "\n".join(lines) + "\n"
 
 
 # --- configuration assembly -------------------------------------------------
-
-
-_GRID_KEYS = ("omega_min", "omega_max", "points", "spacing")  # SweepSpec keywords
 
 
 def _resolve(args) -> tuple:
@@ -145,10 +118,11 @@ def _resolve(args) -> tuple:
         mapping["rabi"] = args.rabi
         mapping.pop("e0_field", None)
         mapping.pop("p12_debye", None)
-    for key in ("points", "spacing"):
+    grid_keys = [f.name for f in fields(SweepSpec) if f.name != "base"]
+    for key in grid_keys:  # only sweep has grid flags
         if getattr(args, key, None) is not None:
             mapping[key] = getattr(args, key)
-    grid = {key: mapping.pop(key) for key in _GRID_KEYS if key in mapping}
+    grid = {key: mapping.pop(key) for key in grid_keys if key in mapping}
     return model.params_from_mapping(mapping), grid
 
 
@@ -254,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_rabi=True):
-        p.add_argument("--preset", help="named parameter set (gamma-globulin, gan-dot)")
+        p.add_argument("--preset",
+                       help=f"named parameter set ({', '.join(model.preset_names())})")
         p.add_argument("--config", help="key = value parameter file")
         if with_rabi:
             p.add_argument("--rabi", type=float, help="Rabi frequency (1/s)")
@@ -266,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="CSV sweep over Rabi frequency")
     common(p, with_rabi=False)
     p.add_argument("--output", required=True, help="CSV output path")
-    p.add_argument("--points", type=int, help="grid points (default 200)")
+    p.add_argument("--points", type=int, help=f"grid points (default {SweepSpec.points})")
     spacing = p.add_mutually_exclusive_group()
     spacing.add_argument(
         "--log", dest="spacing", action="store_const", const="log",

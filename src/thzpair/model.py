@@ -19,6 +19,8 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
+import numpy as np
+
 __all__ = [
     "DEBYE",
     "HBAR",
@@ -26,6 +28,7 @@ __all__ = [
     "PairChannelClosedWarning",
     "PerturbativeDriveWarning",
     "PhysicalParams",
+    "SweepSpec",
     "EffectiveModel",
     "rate_at",
     "from_physical",
@@ -122,6 +125,35 @@ def _caller_level() -> int:
     while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
         frame, level = frame.f_back, level + 1
     return level
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Rabi-frequency grid over a fixed set of base parameters."""
+
+    base: PhysicalParams
+    omega_min: float = 1e11
+    omega_max: float = 1e13
+    points: int = 200
+    spacing: str = "log"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.omega_min) and math.isfinite(self.omega_max)):
+            raise ConfigError("omega_min and omega_max must be finite")
+        if self.spacing not in ("log", "linear"):
+            raise ConfigError(f"spacing must be log or linear, got {self.spacing!r}")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ConfigError(f"points must be an integer, got {self.points!r}")
+        if self.points < 2:
+            raise ConfigError("points must be >= 2")
+        if self.omega_max <= self.omega_min:
+            raise ConfigError("omega_max must exceed omega_min")
+        if self.spacing == "log" and self.omega_min <= 0:
+            raise ConfigError("log spacing needs omega_min > 0")
+
+    def grid(self) -> np.ndarray:
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        return space(self.omega_min, self.omega_max, self.points)
 
 
 def rabi_from_field(e0_field: float, p12_debye: float) -> float:
@@ -229,22 +261,14 @@ def preset(name: str) -> PhysicalParams:
 
 # --- key = value configuration text ---------------------------------------
 
-# Every key a config file may set, and the type its value parses to.  The
-# sweep-grid keys (omega_min .. spacing) are split off by the CLI.
+# Every key a config file may set, and the type its value parses to: the fields
+# of PhysicalParams and SweepSpec's grid (split off by the CLI), whose types are
+# strings under postponed annotations, and the keys params_from_mapping reads.
+_PARSERS = {"float": float, "int": int, "str": str}
 CONFIG_KEYS = {
-    "preset": str,
-    "omega0": float,
-    "omegaL": float,
-    "rabi": float,
-    "e0_field": float,
-    "p12_debye": float,
-    "dipole_ratio": float,
-    "gamma0": float,
-    "omega_min": float,
-    "omega_max": float,
-    "points": int,
-    "spacing": str,
-}
+    f.name: _PARSERS[f.type]
+    for cls in (PhysicalParams, SweepSpec) for f in fields(cls) if f.name != "base"
+} | {"preset": str, "e0_field": float, "p12_debye": float}
 _NEEDS = {float: "a number", int: "an integer"}
 
 

@@ -24,11 +24,22 @@ def child_env():
     return env
 
 
-@pytest.fixture(scope="session")
-def reference():
-    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
-    path = ROOT / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("thzpair_bench_reference", path)
+def _load_bench(name):
+    """bench/<name>.py, loaded by path: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"thzpair_bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
+    return _load_bench("reference")
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workloads and their checks, bench/workloads.py."""
+    return _load_bench("workloads")

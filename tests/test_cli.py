@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzpair import cli, dynamics
-from thzpair.model import ConfigError, preset, with_rabi
+from thzpair import cli, dynamics, model
+from thzpair.model import ConfigError, PhysicalParams, preset, with_rabi
 
 
 def read(path):
@@ -195,6 +195,10 @@ def test_sweep_rejects_bad_grid(tmp_path):
         cli.SweepSpec(base=preset("gamma-globulin"), spacing="cubic")
     with pytest.raises(ConfigError, match="omega_min > 0"):
         cli.SweepSpec(base=preset("gamma-globulin"), omega_min=0.0, spacing="log")
+    for points in (2.5, 3.0, "5"):  # rejected here, not inside the grid construction
+        with pytest.raises(ConfigError, match="points must be an integer"):
+            cli.SweepSpec(base=preset("gamma-globulin"), points=points)
+    assert cli.SweepSpec(base=preset("gamma-globulin"), points=np.int64(3)).grid().size == 3
 
 
 @pytest.mark.parametrize("line", ["omega_min = nan", "omega_max = inf"])
@@ -254,6 +258,55 @@ def test_shared_config_with_grid_keys(tmp_path, capsys, command):
     if command[0] == "correlate":
         argv += ["--output", str(tmp_path / "c.csv")]
     assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+
+
+# Every PhysicalParams field and every SweepSpec grid field, each at a valid
+# value other than its default.
+ALL_FIELDS = {
+    "omega0": 4.9e15, "omegaL": 4.91e15, "rabi": 2e12, "dipole_ratio": 3.0, "gamma0": 4e6,
+    "omega_min": 2e11, "omega_max": 4e11, "points": 3, "spacing": "linear",
+}
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.name != "base"]
+
+
+@pytest.fixture
+def all_fields_cfg(tmp_path):
+    assert sorted(ALL_FIELDS) == sorted(_names(PhysicalParams) + _names(cli.SweepSpec))
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in ALL_FIELDS.items()), encoding="utf-8")
+    return cfg
+
+
+def test_every_config_field_reaches_the_sweep(tmp_path, monkeypatch, all_fields_cfg):
+    """Each field, set in a config file, reaches the sweep's base parameters
+    or its grid."""
+    specs = []
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: specs.append(spec) or [])
+    out = tmp_path / "s.csv"
+    assert cli.main(["sweep", "--config", str(all_fields_cfg), "--output", str(out)]) == 0
+    (spec,) = specs
+    got = {k: getattr(spec.base, k) for k in _names(PhysicalParams)}
+    got.update((k, getattr(spec, k)) for k in _names(cli.SweepSpec))
+    assert got == ALL_FIELDS
+
+
+@pytest.mark.parametrize("command", [
+    ["steady"], ["correlate", "--tau-points", "3"], ["verify-heff"],
+], ids=lambda command: command[0])
+def test_every_physical_field_reaches_each_command(tmp_path, monkeypatch, capsys,
+                                                   all_fields_cfg, command):
+    """The subcommands without a grid solve at exactly the file's parameters."""
+    solved, real = [], model.from_physical
+    monkeypatch.setattr(model, "from_physical", lambda p: solved.append(p) or real(p))
+    argv = [*command, "--config", str(all_fields_cfg)]
+    if command[0] == "correlate":
+        argv += ["--output", str(tmp_path / "c.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert solved == [PhysicalParams(**{k: ALL_FIELDS[k] for k in _names(PhysicalParams)})]
     capsys.readouterr()
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from thzpair import heff
 from thzpair.algebra import SP, SZ, dagger
 from thzpair.heff import (
     HeffReport,
@@ -224,3 +225,10 @@ def test_verify_heff_does_not_load_numpy_ma(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_bench_scores_heff_at_the_package_coupling(bench_workloads):
+    """The benchmark restates the field coupling verify_derivation fixes, to
+    build the closed forms it scores heff against; the two must agree, or
+    heff's accuracy is measured against the wrong targets."""
+    assert bench_workloads.Heff.COUPLING == heff._COUPLING
