@@ -138,8 +138,12 @@ class SweepSpec:
     spacing: str = "log"
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_min) and math.isfinite(self.omega_max)):
-            raise ConfigError("omega_min and omega_max must be finite")
+        ## bounds are Rabi frequencies, magnitudes like PhysicalParams.rabi;
+        ## grid points past the drive's validity domain become failed rows
+        for name in ("omega_min", "omega_max"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"spacing must be log or linear, got {self.spacing!r}")
         if not isinstance(self.points, (int, np.integer)):

@@ -199,9 +199,22 @@ def test_sweep_rejects_bad_grid(tmp_path):
         with pytest.raises(ConfigError, match="points must be an integer"):
             cli.SweepSpec(base=preset("gamma-globulin"), points=points)
     assert cli.SweepSpec(base=preset("gamma-globulin"), points=np.int64(3)).grid().size == 3
+    ## the bounds are Rabi magnitudes: a string, None or a negative value is
+    ## a config error, as a negative rabi is for PhysicalParams
+    for bounds in ({"omega_min": "1e11"}, {"omega_max": None},
+                   {"omega_min": -1e12, "spacing": "linear"},
+                   {"omega_min": -2e12, "omega_max": -1e12, "spacing": "linear"}):
+        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+            cli.SweepSpec(base=preset("gamma-globulin"), **bounds)
+    assert cli.SweepSpec(base=preset("gamma-globulin"), omega_min=0.0,
+                         spacing="linear").grid()[0] == 0.0
 
 
-@pytest.mark.parametrize("line", ["omega_min = nan", "omega_max = inf"])
+@pytest.mark.parametrize("line", [
+    "omega_min = nan",
+    "omega_max = inf",
+    pytest.param("omega_min = -1e12\nspacing = linear", id="omega_min = -1e12, linear"),
+])
 def test_sweep_rejects_non_finite_grid_bounds(tmp_path, capsys, line):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"preset = gamma-globulin\n{line}\n", encoding="utf-8")

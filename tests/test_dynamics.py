@@ -581,20 +581,33 @@ def mp_propagate(g, op, t):
 )
 def test_fallback_switch_at_the_exceptional_point(monkeypatch, eps, fallback):
     """At delta = 0 and Omega = gamma_R/2 two Bloch eigenvalues coincide and
-    the radiative-only generator is defective."""
+    the radiative-only generator is defective.  The trace row of the dual
+    generator is zero, so the exponential's trace row is exactly (1, 0, 0, 0)."""
     gamma = 1e9
     g = build_adjoint_generator(rad_only(0.0, gamma, 0.5 * gamma * (1.0 + eps)))
     calls = count_expm_calls(monkeypatch)
     rho = excited_state().rho
-    for t in (0.1 / gamma, 1.0 / gamma, 10.0 / gamma, 30.0 / gamma):
+    delays = (0.1, 1.0, 10.0, 30.0, 300.0, 3000.0)
+    for t in (d / gamma for d in delays):
         out = propagate_dual(g, rho, t)
         ref = mp_propagate(g, rho, t)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert len(calls) == (4 if fallback else 0)
+    assert len(calls) == (len(delays) if fallback else 0)
+    for a in calls:
+        assert expm(a)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
-@pytest.mark.parametrize("rabi", [1e11, 1e13])
+@pytest.mark.parametrize(
+    "rabi, name",
+    [
+        (1e11, "gamma-globulin"),
+        (1e11, "gan-dot"),
+        (1e13, "gamma-globulin"),
+        (1e13, "gan-dot"),
+        (4.9e13, "gamma-globulin"),  # the top of each preset's benchmark range
+        (1e15, "gan-dot"),
+    ],
+)
 def test_presets_never_take_the_fallback(monkeypatch, name, rabi):
     g = build_adjoint_generator(from_physical(with_rabi(preset(name), rabi)))
     calls = count_expm_calls(monkeypatch)
