@@ -151,18 +151,22 @@ class AdjointGenerator:
 
     @cached_property
     def _real_flow(self) -> tuple:
-        """(s, m, eigen) for propagate_dual, computed on first use.
+        """(dual, eigen, reach) for propagate_dual, computed on first use.
 
-        m is the dual generator divided by its nondimensionalization
-        frequency s; eigen is m's eigen-expansion (lambda, V, V^-1), or None
-        when cond(V) exceeds EIGEN_COND_LIMIT.
+        eigen is the dual generator's eigen-expansion (lambda, V, V^-1), or
+        None when cond(V) exceeds EIGEN_COND_LIMIT.  propagate_dual refuses a
+        t with t * reach > 1, where the propagator leaves float range: there
+        ||dual||_1 * t, which bounds every entry of dual*t and every
+        |lambda*t|, passes 1e307, or a growing mode (the cross channels are
+        not of Lindblad form) passes e^690, which leaves 4 * EIGEN_COND_LIMIT
+        of headroom below the float maximum.
         """
-        s = _scale(self.model, self.matrix)
-        m = dual_generator(self) / s
-        lam, v = np.linalg.eig(m)
+        dual = dual_generator(self)
+        lam, v = np.linalg.eig(dual)
+        reach = float(max(np.linalg.norm(dual, 1) / 1e307, lam.real.max() / 690.0))
         if np.linalg.cond(v) > EIGEN_COND_LIMIT:
-            return s, m, None
-        return s, m, (lam, v, np.linalg.inv(v))
+            return dual, None, reach
+        return dual, (lam, v, np.linalg.inv(v)), reach
 
 
 ## The five dissipative channels as (A, B, C, D) operator tuples; term k
@@ -252,14 +256,6 @@ def _rho_off_ground(xr: np.ndarray) -> np.ndarray:
     return PROJ_GROUND + np.array([[-pop, complex(re, -im)], [complex(re, im), pop]])
 
 
-def _scale(model: EffectiveModel, matrix: np.ndarray) -> float:
-    """Nondimensionalization frequency for linear solves."""
-    s = max(model.omega_rabi, abs(model.delta_eff), model.gamma_R)
-    if s <= 0.0:
-        s = float(np.max(np.abs(matrix)))
-    return s if s > 0.0 else 1.0
-
-
 def steady_state(g: AdjointGenerator) -> BlochState:
     """Unique fixed point of the dual flow with unit trace.
 
@@ -270,14 +266,13 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     weights = _weights(model)
     if max(abs(w) for w in weights) == 0.0:
         raise NoRelaxationError("all dissipative channel weights are zero")
-    s = _scale(model, g.matrix)
-    dual = dual_generator(g) / s
+    dual = dual_generator(g)
     m = dual[1:, 1:]
     ## Solve for the deviation from the ground state, coefficients
     ## (1/sqrt2, 0, 0, -1/sqrt2), not for the state itself: a weakly driven
     ## steady state sits within ~1e-12 of ground, and subtracting two O(1)
     ## coefficients afterwards would erase the excited population.
-    br = -(np.array([model.delta_eff, model.omega_rabi, *weights]) @ _GROUND_RHS) / s
+    br = -(np.array([model.delta_eff, model.omega_rabi, *weights]) @ _GROUND_RHS)
 
     ## row equilibration: entries span many orders of magnitude, which is
     ## physical (pump weights ~1e-4/s against detunings ~1e13/s)
@@ -295,7 +290,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     xr = xr + np.linalg.solve(aa, bb - aa @ xr)  # one step of iterative refinement
 
     coeffs = np.array([0.0, *xr]) + _GROUND_COEFFS
-    residual = np.linalg.norm(dual @ coeffs) * s
+    residual = np.linalg.norm(dual @ coeffs)
     limit = 1e-10 * float(np.abs(g.matrix).max())
     if residual > limit:
         raise DegenerateSteadyStateError(
@@ -342,12 +337,14 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     ## real too and maps Hermitian operators to exactly Hermitian ones, no
     ## matter how large the phase Delta*t grows.  A complex-basis propagator
     ## loses Hermiticity at ~1e-11 by t = 30/gamma_R at the strong-drive preset.
-    s, m, eigen = g._real_flow
+    dual, eigen, reach = g._real_flow
+    if not t * reach <= 1.0:
+        raise ValueError(f"the propagator at t = {t!r} overflows double precision")
     if eigen is None:
-        u = expm(m * (s * t))
+        u = expm(dual * t)
     else:
         lam, v, vinv = eigen
-        u = ((v * np.exp(lam * (s * t))) @ vinv).real
+        u = ((v * np.exp(lam * t)) @ vinv).real
     return hs_reconstruct(u @ hs_decompose(op))
 
 

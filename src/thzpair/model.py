@@ -84,21 +84,21 @@ class PhysicalParams:
     def __post_init__(self):
         for name, v in vars(self).items():  # the fields, in order
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+                raise ConfigError(f"{name} must be finite, got {v!r}")
         if self.omega0 <= 0:
-            raise ValueError("omega0 must be > 0")
+            raise ConfigError("omega0 must be > 0")
         if self.omegaL <= 0:
-            raise ValueError("omegaL must be > 0")
+            raise ConfigError("omegaL must be > 0")
         if self.gamma0 <= 0:
-            raise ValueError("gamma0 must be > 0")
+            raise ConfigError("gamma0 must be > 0")
         if self.dipole_ratio < 0:
-            raise ValueError("dipole_ratio must be >= 0")
+            raise ConfigError("dipole_ratio must be >= 0")
         if self.rabi < 0:
-            raise ValueError("rabi must be >= 0 (magnitude convention)")
+            raise ConfigError("rabi must be >= 0 (magnitude convention)")
         # The second-order averaged model needs Omega, G << omega_L.
         for label, v in (("rabi", self.rabi), ("G", self.g_asym)):
             if v / self.omegaL >= 1.0:
-                raise ValueError(
+                raise ConfigError(
                     f"{label}/omegaL = {v / self.omegaL:.3g} >= 1: "
                     "second-order treatment of the drive is invalid"
                 )
@@ -340,10 +340,7 @@ def params_from_mapping(mapping: dict) -> PhysicalParams:
                 f"missing required parameter(s): {', '.join(missing)} "
                 "(give them explicitly or name a preset)"
             )
-    try:
-        return PhysicalParams(**m) if base is None else replace(base, **m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PhysicalParams(**m) if base is None else replace(base, **m)
 
 
 def with_rabi(params: PhysicalParams, rabi: float) -> PhysicalParams:

@@ -171,15 +171,17 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    """Only numerical and physical failures become failed rows; a bug does not."""
-
-    def broken(params):
-        raise TypeError("not a sweep-point failure")
-
-    monkeypatch.setattr(cli.model, "from_physical", broken)
+    """Only configuration, numerical and physical failures become failed rows;
+    a bug does not, not even one that raises a plain ValueError."""
     spec = cli.SweepSpec(base=preset("gamma-globulin"), points=3)
-    with pytest.raises(TypeError, match="not a sweep-point failure"):
-        cli.run_sweep(spec)
+    for error in (TypeError, ValueError):
+
+        def broken(params):
+            raise error("not a sweep-point failure")
+
+        monkeypatch.setattr(cli.model, "from_physical", broken)
+        with pytest.raises(error, match="not a sweep-point failure"):
+            cli.run_sweep(spec)
 
 
 def test_sweep_rejects_bad_grid(tmp_path):
@@ -413,6 +415,17 @@ def test_correlate_rejects_non_finite_tau_max(tmp_path, capsys, bad):
                    "--output", str(out), "--tau-max", bad])
     assert rc == cli.EXIT_CONFIG
     assert "tau-max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correlate_rejects_a_delay_that_overflows_the_propagator(tmp_path, capsys):
+    """The grid is 0, 5e299, 1e300: the propagator at 5e299 overflows double
+    precision, so the run fails on that delay instead of writing nan rows."""
+    out = tmp_path / "x.csv"
+    rc = cli.main(["correlate", "--preset", "gamma-globulin", "--rabi", "1e13",
+                   "--output", str(out), "--tau-max", "1e300", "--tau-points", "3"])
+    assert rc == cli.EXIT_CONFIG
+    assert "t = 5e+299" in capsys.readouterr().err
     assert not out.exists()
 
 

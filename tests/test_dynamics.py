@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -48,7 +49,7 @@ from thzpair.dynamics import (
     propagate_dual,
     steady_state,
 )
-from thzpair.model import EffectiveModel, from_physical, preset, with_rabi
+from thzpair.model import EffectiveModel, PhysicalParams, from_physical, preset, with_rabi
 
 
 def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
@@ -616,6 +617,43 @@ def test_presets_never_take_the_fallback(monkeypatch, name, rabi):
     g2_tau(1, 2, g, ss, taus)
     g2_tau(2, 1, g, ss, taus)
     assert calls == []
+
+
+def test_overflowing_time_rejected_on_the_eigen_path(monkeypatch):
+    """At t = 1e300 lambda*t overflows.  The error names t and is no
+    PhysicalityError: the delay, not the state, is at fault."""
+    g = strong_drive_generator()
+    calls = count_expm_calls(monkeypatch)
+    for t in (1e300, 0.5 * sys.float_info.max):
+        with pytest.raises(ValueError, match=re.escape(f"t = {t!r} overflows")) as exc:
+            propagate(g, excited_state(), t)
+        assert not isinstance(exc.value, PhysicalityError)
+    assert calls == []
+
+
+def test_overflowing_time_rejected_on_the_expm_path(monkeypatch):
+    """At the exceptional point dual*t overflows at t = 1e300 and is refused
+    before expm runs; t = 1e290 still exponentiates to a finite operator."""
+    gamma = 1e9
+    g = build_adjoint_generator(rad_only(0.0, gamma, 0.5 * gamma))
+    calls = count_expm_calls(monkeypatch)
+    with pytest.raises(ValueError, match=r"t = 1e\+300 overflows") as exc:
+        propagate(g, excited_state(), 1e300)
+    assert not isinstance(exc.value, PhysicalityError)
+    assert np.isfinite(propagate_dual(g, excited_state().rho, 1e290)).all()
+    assert len(calls) == 1
+
+
+def test_overflowing_growth_rejected():
+    """With omegaL 50 times omega0 the non-Lindblad cross channel 2 outweighs
+    radiative decay and one Bloch mode grows (Re lambda ~ +1e6/s), so
+    e^{lambda t} overflows well before lambda*t does."""
+    params = PhysicalParams(omega0=5.6e11, omegaL=3e13, rabi=6e12, dipole_ratio=0.05,
+                            gamma0=1.6e5)
+    g = build_adjoint_generator(from_physical(params))
+    assert np.isfinite(propagate_dual(g, excited_state().rho, 5e-4)).all()
+    with pytest.raises(ValueError, match=re.escape("t = 0.001 overflows")):
+        propagate_dual(g, excited_state().rho, 1e-3)
 
 
 @pytest.mark.parametrize("norm", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
