@@ -64,7 +64,8 @@ EIGEN_COND_LIMIT = 1e6
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The generator's nullspace is not one-dimensional."""
+    """The generator has no unique steady state that the flow relaxes to:
+    its nullspace is not one-dimensional, or a mode grows."""
 
 
 class NoRelaxationError(RuntimeError):
@@ -197,9 +198,13 @@ def _weights(model: EffectiveModel) -> tuple:
     )
 
 
-def _channel_image(rho: np.ndarray, a, b, c, d) -> np.ndarray:
-    """State-picture image of rho under one unit-weight channel."""
-    return rho @ a @ b - b @ rho @ a + c @ d @ rho - d @ rho @ c
+def _adjoint_image(q: np.ndarray, h0: np.ndarray, weights) -> np.ndarray:
+    """Heisenberg-picture image L^adj(q) under Hamiltonian h0 and the
+    channels of _CHANNELS at the given weights."""
+    img = 1j * commutator(h0, q)
+    for (a, b, c, d), w in zip(_CHANNELS, weights):
+        img = img - w * (a @ commutator(b, q) + commutator(q, c) @ d)
+    return img
 
 
 def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
@@ -207,12 +212,7 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     ## coherent part: effective detuning plus the semiclassical drive
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     weights = _weights(model)
-    cols = []
-    for q in HS_BASIS:
-        img = 1j * commutator(h0, q)
-        for (a, b, c, d), w in zip(_CHANNELS, weights):
-            img = img - w * (a @ commutator(b, q) + commutator(q, c) @ d)
-        cols.append(hs_decompose(img))
+    cols = [hs_decompose(_adjoint_image(q, h0, weights)) for q in HS_BASIS]
     ## every channel has C = B^dag and D = A^dag, so L^adj maps Hermitian
     ## observables to Hermitian ones: the imaginary parts are rounding residue
     return AdjointGenerator(matrix=np.column_stack(cols).real, model=model)
@@ -228,32 +228,18 @@ def dual_generator(g: AdjointGenerator) -> np.ndarray:
 
 
 ## Traceless HS coefficients of the ground projector's image L(|1><1|) under
-## unit delta_eff, unit Omega and each unit-weight channel, one row each, so
-## that L(|1><1|) = (delta_eff, omega_rabi, *_weights(model)) @ _GROUND_RHS.
-## Each Bloch component of that image comes from one term alone (the drive
-## gives sigma_y, cross channel 2 sigma_x, the pump sigma_z; the rest vanish),
-## so the dot product rounds exactly as the tests' operator-wise L(|1><1|).
-_GROUND_RHS = np.array([hs_decompose(image)[1:].real for image in (
-    -1j * commutator(SZ, PROJ_GROUND),
-    -1j * commutator(0.5 * (SP + SM), PROJ_GROUND),
-    *(-_channel_image(PROJ_GROUND, *channel) for channel in _CHANNELS),
-)])
+## the unit terms (unit delta_eff, unit Omega, each unit-weight channel), one
+## row each, so that L(|1><1|) = (delta_eff, omega_rabi, *_weights(model)) @
+## _GROUND_RHS.  Entry (k, i) is Tr(e_i L_k(|1><1|)) = <1|L_k^adj(e_i)|1>, read
+## off the generator's own adjoint images.  Each Bloch component of L(|1><1|)
+## comes from one term alone (the drive gives sigma_y, cross channel 2 sigma_x,
+## the pump sigma_z), so the dot product rounds exactly as the tests' L(|1><1|).
+_UNIT_TERMS = ((SZ, ()), (0.5 * (SP + SM), ()), *((0.0 * SZ, w) for w in np.eye(len(_CHANNELS))))
+_GROUND_RHS = np.array([[_adjoint_image(e, h0, w)[0, 0].real for e in HS_BASIS[1:]]
+                        for h0, w in _UNIT_TERMS])
 _GROUND_RHS.setflags(write=False)
 
-## hs_reconstruct's weights of x1 on Re rho[1,0], x2 on Im rho[1,0], x3 on rho[1,1]
-_RE, _IM, _POP = (HS_BASIS[1][1, 0].real.item(), HS_BASIS[2][1, 0].imag.item(),
-                  HS_BASIS[3][1, 1].real.item())
-
-_GROUND_COEFFS = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
-
-
-def _rho_off_ground(xr: np.ndarray) -> np.ndarray:
-    """PROJ_GROUND + hs_reconstruct([0, *xr]), entry by entry and bit for bit,
-    signed zeros included.  Assembling additively off the ground projector
-    keeps rho[1,1] clear of a 1/2 - (1/2 - p2) subtraction."""
-    x1, x2, x3 = xr.tolist()
-    re, im, pop = x1 * _RE, x2 * _IM, x3 * _POP
-    return PROJ_GROUND + np.array([[-pop, complex(re, -im)], [complex(re, im), pop]])
+_GROUND_COEFFS = hs_decompose(PROJ_GROUND).real
 
 
 def steady_state(g: AdjointGenerator) -> BlochState:
@@ -296,7 +282,12 @@ def steady_state(g: AdjointGenerator) -> BlochState:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual:.3g} exceeds {limit:.3g}"
         )
-    return BlochState(_rho_off_ground(xr))
+    ## the non-Lindblad cross channels can outweigh the decay: a growing mode
+    growth = np.linalg.eigvals(m).real.max()
+    if growth > 1e-12 * norms.max():
+        raise DegenerateSteadyStateError(
+            f"steady state is not an attractor: max Re lambda = {growth:.3g} 1/s")
+    return BlochState(PROJ_GROUND + hs_reconstruct([0.0, *xr]))
 
 
 def expm(a: np.ndarray) -> np.ndarray:

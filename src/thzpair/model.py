@@ -200,7 +200,13 @@ def rate_at(omega: float, params: PhysicalParams) -> float:
     """
     if omega <= 0.0:
         return 0.0
-    return params.gamma0 * (omega / params.omega0) ** 3
+    try:
+        rate = params.gamma0 * (omega / params.omega0) ** 3
+    except OverflowError:  # the cube alone passes float range
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise ConfigError(f"emission rate at omega = {omega:.6g} 1/s overflows double precision")
+    return rate
 
 
 def from_physical(params: PhysicalParams) -> EffectiveModel:

@@ -170,6 +170,45 @@ def test_sweep_partial_failure_exit_code(tmp_path, capsys):
     assert not any("nan" in line for line in lines[1:4])  # weak-drive rows fine
 
 
+GROWING_CFG = "omega0 = 5.6e11\nomegaL = 3e13\ndipole_ratio = 0.05\ngamma0 = 1.6e5\n"
+
+
+def test_growing_mode_fails_steady_and_its_sweep_row(tmp_path, capsys):
+    """A fixed point with a growing mode is a degenerate solve: steady exits
+    2 and names the growth rate; a sweep through it fails that row alone."""
+    cfg = tmp_path / "grow.cfg"
+    cfg.write_text(GROWING_CFG + "rabi = 6e12\n", encoding="utf-8")
+    assert cli.main(["steady", "--config", str(cfg)]) == cli.EXIT_DEGENERATE
+    assert "not an attractor: max Re lambda = 1.05e+06" in capsys.readouterr().err
+    cfg.write_text(GROWING_CFG + "omega_min = 1e11\nomega_max = 6e12\npoints = 2\n"
+                   "spacing = linear\n", encoding="utf-8")
+    out = tmp_path / "grow.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--output", str(out)]) == \
+        cli.EXIT_PARTIAL_SWEEP
+    first, second = read(out).splitlines()[1:]
+    assert "nan" not in first
+    assert second == "6e+12,nan,nan,nan,nan,nan,nan,false,nan"
+
+
+@pytest.mark.parametrize("base", [
+    "omega0 = 1e-100\nomegaL = 1e10\n",
+    "omega0 = 1e10\nomegaL = 1e12\ngamma0 = 1e305\n",
+], ids=["ratio-cubed-overflows", "gamma0-times-ratio"])
+def test_overflowing_rate_is_a_config_error(tmp_path, capsys, base):
+    """An emission rate past float range exits 1 from steady, with no
+    traceback, and fails every row of a sweep without aborting it."""
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(base + "rabi = 1e6\n", encoding="utf-8")
+    assert cli.main(["steady", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "overflows double precision" in capsys.readouterr().err
+    cfg.write_text(base + "omega_min = 1e5\nomega_max = 1e8\npoints = 3\n", encoding="utf-8")
+    out = tmp_path / "hot.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--output", str(out)]) == \
+        cli.EXIT_PARTIAL_SWEEP
+    rows = read(out).splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith("nan,nan,false,nan") for row in rows)
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     """Only configuration, numerical and physical failures become failed rows;
     a bug does not, not even one that raises a plain ValueError."""

@@ -38,7 +38,6 @@ from thzpair.dynamics import (
     PhysicalityError,
     _CHANNELS,
     _GROUND_RHS,
-    _channel_image,
     _weights,
     build_adjoint_generator,
     dual_generator,
@@ -58,12 +57,14 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
     Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
     structural zeros of rho survive exactly (no eps-sized residue from
     cancelling matrix entries): the reference for the generator and for
-    _GROUND_RHS.
+    _GROUND_RHS.  The package states each channel only in the Heisenberg
+    picture, -w (A[B,Q] + [Q,C]D); this is its trace dual, the one
+    state-picture form of the channels.
     """
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     out = -1j * commutator(h0, rho)
-    for channel, w in zip(_CHANNELS, _weights(model)):
-        out = out - w * _channel_image(rho, *channel)
+    for (a, b, c, d), w in zip(_CHANNELS, _weights(model)):
+        out = out - w * (rho @ a @ b - b @ rho @ a + c @ d @ rho - d @ rho @ c)
     return out
 
 
@@ -180,26 +181,14 @@ def test_dual_generator_matches_the_operator_wise_image(make):
 
 def test_ground_rhs_table_is_the_operator_wise_image_bit_for_bit():
     """steady_state's right-hand side, the model's seven scalars dotted with
-    the constant _GROUND_RHS table, is exactly the traceless part of
-    _dual_image's evaluation, signed zeros included."""
+    the constant _GROUND_RHS table read off the package's Heisenberg-picture
+    images, is exactly the traceless part of _dual_image's state-picture
+    evaluation, signed zeros included."""
     assert _GROUND_RHS.shape == (7, 3)
     for m in seeded_models():
         got = np.array([m.delta_eff, m.omega_rabi, *_weights(m)]) @ _GROUND_RHS
         want = hs_decompose(_dual_image(m, PROJ_GROUND))[1:].real
         assert got.tobytes() == want.tobytes()
-
-
-def test_rho_assembly_is_hs_reconstruct_bit_for_bit():
-    """steady_state's entry-wise assembly of rho from the Bloch coefficients
-    is PROJ_GROUND + hs_reconstruct, over drawn coefficients with signed
-    zeros and magnitudes down to 1e-20."""
-    rng = np.random.default_rng(41)
-    for k in range(600):
-        xr = rng.standard_normal(3) * 10.0 ** rng.uniform(-20.0, 0.0, 3)
-        xr[k % 3] = (0.0, -0.0, xr[k % 3], xr[k % 3])[k % 4]
-        assert dynamics._rho_off_ground(xr).tobytes() == (
-            PROJ_GROUND + hs_reconstruct([0.0, *xr])
-        ).tobytes()
 
 
 def test_generator_matrix_is_read_only():
@@ -311,6 +300,30 @@ def test_pure_dephasing_steady_state_is_degenerate():
     )
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(build_adjoint_generator(m))
+
+
+GROWING = PhysicalParams(omega0=5.6e11, omegaL=3e13, rabi=6e12, dipole_ratio=0.05,
+                         gamma0=1.6e5)
+
+
+def test_growing_mode_is_not_a_steady_state():
+    """Cross channel 2 outweighs the decay here (Re lambda = +1.05e6/s): the
+    fixed point exists and solves to a small residual, but nothing relaxes
+    to it, so steady_state refuses it and names the growth rate."""
+    g = build_adjoint_generator(from_physical(GROWING))
+    with pytest.raises(DegenerateSteadyStateError, match=r"not an attractor.*1\.05e\+06"):
+        steady_state(g)
+    ## the same drive with the cross channels off relaxes
+    calm = dataclasses.replace(g.model, c_cross=0.0)
+    assert 0.0 < steady_state(build_adjoint_generator(calm)).p_excited < 0.5
+
+
+def test_preset_generators_relax_with_margin():
+    """Every mode of the seeded drives decays: max Re lambda sits well below
+    the growth threshold 1e-12 * max|m| that steady_state applies."""
+    for m in seeded_models():
+        block = dual_generator(build_adjoint_generator(m))[1:, 1:]
+        assert np.linalg.eigvals(block).real.max() < -1e-10 * np.abs(block).max()
 
 
 # --- propagation ----------------------------------------------------------------
@@ -648,9 +661,7 @@ def test_overflowing_growth_rejected():
     """With omegaL 50 times omega0 the non-Lindblad cross channel 2 outweighs
     radiative decay and one Bloch mode grows (Re lambda ~ +1e6/s), so
     e^{lambda t} overflows well before lambda*t does."""
-    params = PhysicalParams(omega0=5.6e11, omegaL=3e13, rabi=6e12, dipole_ratio=0.05,
-                            gamma0=1.6e5)
-    g = build_adjoint_generator(from_physical(params))
+    g = build_adjoint_generator(from_physical(GROWING))
     assert np.isfinite(propagate_dual(g, excited_state().rho, 5e-4)).all()
     with pytest.raises(ValueError, match=re.escape("t = 0.001 overflows")):
         propagate_dual(g, excited_state().rho, 1e-3)

@@ -60,6 +60,23 @@ def test_rate_at_strictly_increasing():
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
+OVERFLOWING_RATES = [
+    pytest.param(PhysicalParams(omega0=1e-100, omegaL=1e10), id="ratio-cubed-overflows"),
+    pytest.param(PhysicalParams(omega0=1e10, omegaL=1e12, gamma0=1e305), id="gamma0-times-ratio"),
+]
+
+
+@pytest.mark.parametrize("p", OVERFLOWING_RATES)
+def test_rate_past_float_range_is_a_config_error(p):
+    """(omega/omega0)^3 past float range raises OverflowError in Python, and
+    gamma0 times a finite cube can round to inf: both are rejected by name."""
+    with pytest.raises(ConfigError, match=r"rate at omega = 1e\+1[02] 1/s overflows"):
+        rate_at(p.omegaL, p)
+    with pytest.raises(ConfigError, match="overflows"):
+        from_physical(p)
+    assert math.isfinite(rate_at(p.omega0, p))
+
+
 # --- reduction to the effective model ---------------------------------------
 
 
