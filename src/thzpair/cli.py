@@ -190,8 +190,6 @@ def cmd_correlate(args) -> int:
 def cmd_verify_heff(args) -> int:
     params, _ = _resolve(args)
     eff = model.from_physical(params)
-    if args.mode_truncation < 2:
-        raise model.ConfigError("mode-truncation must be >= 2")
     report = heff.verify_derivation(params, eff, n_trunc=args.mode_truncation)
     for c in report.checks:
         line = (

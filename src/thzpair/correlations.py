@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SM, SP, dagger
-from .dynamics import AdjointGenerator, BlochState, propagate_dual
+from .dynamics import AdjointGenerator, BlochState, PhysicalityError, bloch_ball, propagate_dual
 
 __all__ = [
     "CHANNEL_SOURCES",
@@ -115,7 +115,9 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
     """g2 of channel j delayed by tau after a channel-i detection at tau = 0.
 
     Markovian evaluation: the collapsed (un-normalized) state B_i^dag rho B_i
-    evolves under the dual generator; each grid point is independent.
+    evolves under the dual generator; each grid point is independent.  The
+    cross channels are not of Lindblad form, so the evolved operator can
+    leave the positive cone; a delay where it does raises PhysicalityError.
     """
     taus = [float(t) for t in tau_grid]
     if not all(math.isfinite(t) for t in taus):
@@ -132,5 +134,11 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
     out = []
     for tau in taus:
         evolved = propagate_dual(g, collapsed, tau)
+        inside, radius2, tr = bloch_ball(evolved)
+        if not inside:
+            raise PhysicalityError(
+                f"collapsed state at tau = {tau!r} s is not positive: "
+                f"lambda_min/Tr = {0.5 - math.sqrt(radius2) / tr:.3g}"
+            )
         out.append(_read(intensity_j, evolved.diagonal().real.tolist()) / den)
     return out

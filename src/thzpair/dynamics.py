@@ -43,6 +43,7 @@ __all__ = [
     "DegenerateSteadyStateError",
     "NoRelaxationError",
     "PhysicalityError",
+    "bloch_ball",
     "build_adjoint_generator",
     "dual_generator",
     "steady_state",
@@ -55,7 +56,8 @@ __all__ = [
 TRACE_TOL = 1e-12
 CONJ_TOL = 1e-12
 ## |<S+>|^2 + <S_z>^2 = r^2 with lambda_min(rho) = 1/2 - r, so this bounds
-## how far below zero the smallest eigenvalue of rho may round (about -1e-9)
+## how far below zero the smallest eigenvalue of rho may round (about -1e-9);
+## bloch_ball scales it by (Tr m)^2 for an operator m of any trace
 BLOCH_RADIUS_TOL = 1e-9
 ## The eigen-expansion V diag(e^{lambda t}) V^-1 loses about eps*cond(V)
 ## relative (2e-10 at this bound); a generator whose eigenvectors are worse
@@ -97,9 +99,9 @@ class BlochState:
         if abs(-0.5 * rho[0, 0].imag + 0.5 * rho[1, 1].imag) > CONJ_TOL:
             raise PhysicalityError("<S_z> has a non-negligible imaginary part")
         ## the Bloch vector must lie in the ball of radius 1/2 (rho >= 0); this
-        ## bounds <S_z> to [-1/2, 1/2] too, and the negated test rejects NaN
-        radius2 = abs(s_plus) ** 2 + self.s_z**2
-        if not radius2 <= 0.25 + BLOCH_RADIUS_TOL:
+        ## bounds <S_z> to [-1/2, 1/2] too
+        inside, radius2, _ = bloch_ball(rho)
+        if not inside:
             raise PhysicalityError(
                 f"|<S+>|^2 + <S_z>^2 = {radius2:.15g} outside [0, 1/4] (rho not positive)"
             )
@@ -122,6 +124,18 @@ class BlochState:
     @property
     def p_excited(self) -> float:
         return float(self.rho[1, 1].real)
+
+
+def bloch_ball(m: np.ndarray) -> tuple:
+    """(inside, r^2, Tr m) for a 2x2 Hermitian m with eigenvalues Tr m/2 +- r.
+
+    r^2 = |m01|^2 + ((m11 - m00)/2)^2, and m >= 0 iff r <= Tr m/2.  inside
+    lets r^2 pass (Tr m/2)^2 by BLOCH_RADIUS_TOL (Tr m)^2; a NaN makes it False.
+    """
+    m00, m01, _, m11 = m.ravel().tolist()
+    tr = m00.real + m11.real
+    radius2 = abs(m01) ** 2 + (-0.5 * m00.real + 0.5 * m11.real) ** 2
+    return tr >= 0.0 and radius2 <= (0.25 + BLOCH_RADIUS_TOL) * tr * tr, radius2, tr
 
 
 def ground_state() -> BlochState:

@@ -1,11 +1,10 @@
 """Second-order harmonic averaging check of the effective model.
 
 The rotating-frame reduction used by the model module rests on three derived
-coefficients: the drive-induced level shift Omega^2/(4 omega_L), the
-pair-creation coupling 3*G*g/(8 omega_L), and the inversion-coupled field
-displacement Omega*g/(2 omega_L).  This module re-derives them numerically,
-with no rotating-wave shortcuts, on a Fock-truncated single-mode copy of the
-lab Hamiltonian:
+coefficients: the drive-induced level shift, the pair-creation coupling and
+the inversion-coupled field displacement.  This module re-derives them
+numerically, with no rotating-wave shortcuts, on a Fock-truncated single-mode
+copy of the lab Hamiltonian:
 
     H = w_k a^dag a + w_0 S_z + Omega (S+ + S-) cos(w_L t)
         + G S_z cos(w_L t) + i g (a^dag - a)(S+ + S-)
@@ -17,11 +16,14 @@ H0 = w_L (a^dag a + S_z) shifts matrix elements between harmonics; the
 oscillating remainder H'' feeds the second-order average -i H'' * Int[H'']
 with Int[e^{i n w t}] = e^{i n w t} / (i n w), Hermitized.  Agreement of the
 extracted coefficients across mode truncations N = 2, 3, 4 shows only
-single-photon processes contribute.
+single-photon processes contribute.  The targets are read off the
+EffectiveModel that the dynamics consumes, so the check covers the numbers in
+use, not a restatement of their formulas.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,6 +43,9 @@ __all__ = [
     "compare_to_target",
     "verify_derivation",
 ]
+
+
+_COUPLING = 1e9  # atom-field coupling g (1/s) of verify_derivation's mode
 
 
 class _Ops(NamedTuple):
@@ -185,7 +190,7 @@ def second_order_average(
 
 @dataclass(frozen=True, slots=True)
 class CoefficientCheck:
-    """One extracted coefficient against its closed-form target."""
+    """One extracted coefficient against the model's value of it."""
 
     name: str
     measured: complex
@@ -219,26 +224,24 @@ def _project(matrix: np.ndarray, pattern: np.ndarray) -> complex:
     return complex(np.vdot(pattern, matrix) / np.vdot(pattern, pattern))
 
 
-def compare_to_target(derived: dict, model: EffectiveModel, coupling: float) -> HeffReport:
-    """Extract the three averaged coefficients and compare to closed forms.
+def compare_to_target(derived: dict, model: EffectiveModel) -> HeffReport:
+    """Extract the three averaged coefficients and compare them to the model's.
 
-    Patterns and expected values (the pair and displacement terms carry the
-    -i phase of the averaging product):
-      * S_z (x) 1       static      -> Omega^2 / (4 w_L)
-      * a^dag S+        harmonic +1 -> -i * 3 G g / (8 w_L)
-      * (a - a^dag) S_z static      -> -i * Omega g / (2 w_L)
+    Patterns and expected values, with g = _COUPLING (the pair and
+    displacement terms carry the -i phase of the averaging product):
+      * S_z (x) 1       static      -> bs_shift
+      * a^dag S+        harmonic +1 -> -i * sqrt(c_pump) * g
+      * (a - a^dag) S_z static      -> -i * c_cross * g
     """
     ops = _ops(_mode_truncation(derived))
     zero = np.zeros_like(ops.sz)
     static = derived.get(0, zero)
     first = derived.get(+1, zero)
 
-    omega, g_asym, w_l = model.omega_rabi, model.g_asym, model.omegaL
     cases = (
-        ("bloch_siegert", static, ops.sz, omega * omega / (4.0 * w_l)),
-        ("pair_creation", first, ops.pair, -1j * 3.0 * g_asym * coupling / (8.0 * w_l)),
-        ("mode_displacement", static, ops.displacement,
-         -1j * omega * coupling / (2.0 * w_l)),
+        ("bloch_siegert", static, ops.sz, model.bs_shift),
+        ("pair_creation", first, ops.pair, -1j * math.sqrt(model.c_pump) * _COUPLING),
+        ("mode_displacement", static, ops.displacement, -1j * model.c_cross * _COUPLING),
     )
     checks = []
     for name, matrix, pattern, target in cases:
@@ -249,9 +252,6 @@ def compare_to_target(derived: dict, model: EffectiveModel, coupling: float) -> 
             deviation = abs(measured - target) / abs(target)
         checks.append(CoefficientCheck(name, measured, complex(target), deviation))
     return HeffReport(tuple(checks))
-
-
-_COUPLING = 1e9  # atom-field coupling g (1/s) of verify_derivation's mode
 
 
 def _averaged(params: PhysicalParams, n_trunc: int, mode_freq: float, coupling: float):
@@ -279,6 +279,6 @@ def verify_derivation(
     mode_freq = model.pair_freq if model.pair_freq > 0 else params.omega0
     full = _averaged(params, n_trunc, mode_freq, _COUPLING)
     drive_only = _averaged(params, n_trunc, mode_freq, 0.0)
-    from_full = compare_to_target(full, model, _COUPLING).checks
-    from_drive = compare_to_target(drive_only, model, _COUPLING).checks
+    from_full = compare_to_target(full, model).checks
+    from_drive = compare_to_target(drive_only, model).checks
     return HeffReport((from_drive[0], *from_full[1:]))

@@ -200,9 +200,10 @@ def rate_at(omega: float, params: PhysicalParams) -> float:
     """
     if omega <= 0.0:
         return 0.0
+    ## in Python floats: their cube past float range raises, where numpy's warns
     try:
-        rate = params.gamma0 * (omega / params.omega0) ** 3
-    except OverflowError:  # the cube alone passes float range
+        rate = float(params.gamma0) * (float(omega) / float(params.omega0)) ** 3
+    except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):
         raise ConfigError(f"emission rate at omega = {omega:.6g} 1/s overflows double precision")

@@ -468,6 +468,22 @@ def test_correlate_rejects_a_delay_that_overflows_the_propagator(tmp_path, capsy
     assert not out.exists()
 
 
+def test_correlate_exits_2_when_the_collapsed_state_leaves_the_positive_cone(
+        tmp_path, capsys):
+    """Unchecked, this input wrote g12 = -0.34132701 at tau = 1.7221726e-08."""
+    cfg = tmp_path / "off_cone.cfg"
+    cfg.write_text(
+        "omega0 = 4228507432267.1143\nomegaL = 33831139112034.574\n"
+        "rabi = 10253141234189.902\ndipole_ratio = 0.17128596459608617\n"
+        "gamma0 = 17592445.36897007\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    with pytest.warns(model.PerturbativeDriveWarning):
+        rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out)])
+    assert rc == cli.EXIT_DEGENERATE
+    assert "is not positive: lambda_min/Tr" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- verify-heff ------------------------------------------------------------------
 
 
@@ -484,7 +500,7 @@ def test_verify_heff_truncation_guard(capsys):
     rc = cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13",
                    "--mode-truncation", "1"])
     assert rc == cli.EXIT_CONFIG
-    assert "mode-truncation must be >= 2" in capsys.readouterr().err
+    assert "mode truncation must be >= 2" in capsys.readouterr().err
 
 
 # --- configuration errors ----------------------------------------------------------

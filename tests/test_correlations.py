@@ -1,9 +1,13 @@
 """Two-channel intensity correlations and the classical-bound comparison."""
 
+import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from thzpair.algebra import SM, SP, dagger, expectation
 from thzpair.correlations import (
@@ -19,6 +23,8 @@ from thzpair.correlations import (
 )
 from thzpair.dynamics import (
     BlochState,
+    DegenerateSteadyStateError,
+    PhysicalityError,
     build_adjoint_generator,
     excited_state,
     ground_state,
@@ -26,7 +32,15 @@ from thzpair.dynamics import (
     propagate_dual,
     steady_state,
 )
-from thzpair.model import from_physical, preset, with_rabi
+from thzpair.model import (
+    ConfigError,
+    PairChannelClosedWarning,
+    PerturbativeDriveWarning,
+    PhysicalParams,
+    from_physical,
+    preset,
+    with_rabi,
+)
 
 
 def setup_point(omega):
@@ -186,6 +200,24 @@ def test_g2_tau_rejects_non_finite_delays(bad):
         g2_tau(1, 2, g, ss, [0.0, bad])
 
 
+def test_g2_tau_refuses_a_collapsed_state_outside_the_positive_cone():
+    """At rabi/omegaL = 0.30 the steady state is positive, but the non-Lindblad
+    cross channels carry the collapsed state out of the positive cone within
+    a few delays; unchecked, g12 read -0.341 at tau = 1.72e-8 s."""
+    with pytest.warns(PerturbativeDriveWarning):
+        params = PhysicalParams(
+            omega0=4228507432267.1143, omegaL=33831139112034.574, rabi=10253141234189.902,
+            dipole_ratio=0.17128596459608617, gamma0=17592445.36897007,
+        )
+    g = build_adjoint_generator(from_physical(params))
+    ss = steady_state(g)
+    taus = np.linspace(0.0, 10.0 / g.model.gamma_R, 200)
+    with pytest.raises(PhysicalityError, match=r"tau = 8\.61\d*e-09 s .* lambda_min/Tr = -0\.0069"):
+        g2_tau(1, 2, g, ss, taus)
+    with pytest.raises(PhysicalityError, match=r"tau = 1\.72\d*e-09 s .* lambda_min/Tr = -0\.012"):
+        g2_tau(2, 1, g, ss, taus)
+
+
 def test_g2_tau_is_continuous_in_the_delay():
     """Adjacent samples at a step of 1e-3 of the fastest timescale differ by
     < 1e-2; the Rabi oscillation at the strong-drive point has angular
@@ -278,3 +310,80 @@ def test_steady_point_matches_the_50_digit_reference(reference, name, rabi):
     expected = reference.steady_point(reference.Lab.of(params))
     for value, ref in zip((ss.p_excited, rep.g12, rep.g21), expected):
         assert reference.rel_dev(value, ref) <= 1e-13
+
+
+# log10 ranges of the inputs, drawn uniformly over the whole domain: omegaL,
+# then omega0/omegaL, rabi/omegaL, dipole_ratio and gamma0
+DOMAIN = ((12.0, 16.0), (-2.0, math.log10(3.0)), (-4.0, 0.0), (-2.0, 2.0), (4.0, 9.0))
+STEADY_TOL = 1e-11  # relative, on p2, g12 and g21; the worst measured is 6.9e-13
+# Boundary bands, in which a draw may take either neighbouring class:
+# BlochState admits a rho whose smallest eigenvalue rounds down to about
+# -BLOCH_RADIUS_TOL = -1e-9, and steady_state calls a mode growing past
+# 1e-12 of the block's largest row; each band is a decade or two wider.
+POSITIVITY_BAND = 1e-8  # on lambda_min of the unit-trace 50-digit rho
+GROWTH_BAND = 1e-10  # on max Re lambda, relative to the largest generator entry
+
+
+def _reference_margins(reference, params):
+    """lambda_min of the 50-digit steady rho, and max Re lambda of the
+    50-digit traceless block over the largest generator entry."""
+    with mpmath.workdps(reference.DPS):
+        g = reference.generator(reference.Lab.of(params))
+        rho = reference.steady_state(g)
+        lam_min = min(mpmath.re(e) for e in mpmath.eig(rho, right=False))
+        # x = (rho00, rho01, rho10, rho11); g maps into the traceless x, whose
+        # coordinates over (1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0) are x[:3]
+        traceless = mpmath.matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0]])
+        block = (g * traceless)[0:3, 0:3]
+        growth = max(mpmath.re(e) for e in mpmath.eig(block, right=False))
+        scale = max(abs(x) for x in g)
+        return float(lam_min), float(growth / scale)
+
+
+@pytest.mark.filterwarnings("ignore::thzpair.model.PerturbativeDriveWarning")
+@pytest.mark.filterwarnings("ignore::thzpair.model.PairChannelClosedWarning")
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=True))
+def test_steady_state_classes_agree_with_the_50_digit_reference(reference, rng):
+    """Over the whole input domain every valid draw is solved to the
+    reference, or refused for the reason the 50-digit model gives: a rho that
+    is not positive, or a fixed point that a mode grows away from.
+
+    Delayed correlators are not compared: at gamma0 = 1e4 and omegaL = 1e16
+    the phase |Im lambda| tau reaches about 5e12 rad by 10/gamma_R, and the
+    rounding of lambda to double alone puts 1e-7 out of reach there."""
+    log_wl, log_w0, log_rabi, log_ratio, log_gamma0 = (rng.uniform(lo, hi) for lo, hi in DOMAIN)
+    omega_l = 10.0 ** log_wl
+    try:
+        params = PhysicalParams(
+            omega0=omega_l * 10.0 ** log_w0, omegaL=omega_l, rabi=omega_l * 10.0 ** log_rabi,
+            dipole_ratio=10.0 ** log_ratio, gamma0=10.0 ** log_gamma0,
+        )
+        g = build_adjoint_generator(from_physical(params))
+    except ConfigError:
+        assume(False)
+    try:
+        ss = steady_state(g)
+        outcome = "solved"
+    except PhysicalityError:
+        outcome = "not positive"
+    except DegenerateSteadyStateError as exc:
+        assert "not an attractor" in str(exc)
+        outcome = "growing"
+
+    event(outcome)  # shown by pytest --hypothesis-show-statistics
+    lam_min, growth = _reference_margins(reference, params)
+    allowed = set()
+    if growth > -GROWTH_BAND:
+        allowed.add("growing")
+    if growth <= GROWTH_BAND:
+        if lam_min < POSITIVITY_BAND:
+            allowed.add("not positive")
+        if lam_min >= -POSITIVITY_BAND:
+            allowed.add("solved")
+    assert outcome in allowed, (outcome, lam_min, growth, params)
+    if outcome == "solved":
+        rep = cauchy_schwarz(ss)
+        expected = reference.steady_point(reference.Lab.of(params))
+        for value, ref in zip((ss.p_excited, rep.g12, rep.g21), expected):
+            assert reference.rel_dev(value, ref) <= STEADY_TOL

@@ -1,5 +1,6 @@
 """Generator construction, steady states, and time evolution."""
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -39,6 +40,7 @@ from thzpair.dynamics import (
     _CHANNELS,
     _GROUND_RHS,
     _weights,
+    bloch_ball,
     build_adjoint_generator,
     dual_generator,
     excited_state,
@@ -48,7 +50,15 @@ from thzpair.dynamics import (
     propagate_dual,
     steady_state,
 )
-from thzpair.model import EffectiveModel, PhysicalParams, from_physical, preset, with_rabi
+from thzpair.model import (
+    EffectiveModel,
+    PairChannelClosedWarning,
+    PerturbativeDriveWarning,
+    PhysicalParams,
+    from_physical,
+    preset,
+    with_rabi,
+)
 
 
 def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
@@ -611,6 +621,13 @@ def test_fallback_switch_at_the_exceptional_point(monkeypatch, eps, fallback):
         assert expm(a)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+# The physics warning the top of each preset's benchmark range raises.
+TOP_OF_RANGE_WARNINGS = {
+    (4.9e13, "gamma-globulin"): PerturbativeDriveWarning,
+    (1e15, "gan-dot"): PairChannelClosedWarning,
+}
+
+
 @pytest.mark.parametrize(
     "rabi, name",
     [
@@ -618,12 +635,14 @@ def test_fallback_switch_at_the_exceptional_point(monkeypatch, eps, fallback):
         (1e11, "gan-dot"),
         (1e13, "gamma-globulin"),
         (1e13, "gan-dot"),
-        (4.9e13, "gamma-globulin"),  # the top of each preset's benchmark range
-        (1e15, "gan-dot"),
+        *TOP_OF_RANGE_WARNINGS,
     ],
 )
 def test_presets_never_take_the_fallback(monkeypatch, name, rabi):
-    g = build_adjoint_generator(from_physical(with_rabi(preset(name), rabi)))
+    """Nor leave the positive cone: g2_tau checks every delay."""
+    warning = TOP_OF_RANGE_WARNINGS.get((rabi, name))
+    with pytest.warns(warning) if warning else contextlib.nullcontext():
+        g = build_adjoint_generator(from_physical(with_rabi(preset(name), rabi)))
     calls = count_expm_calls(monkeypatch)
     ss = steady_state(g)
     taus = np.linspace(0.0, 10.0 / g.model.gamma_R, 50)
@@ -726,6 +745,19 @@ def test_bloch_state_validation():
         BlochState(np.diag([-0.2, 1.2]))
     with pytest.raises(PhysicalityError, match="outside"):
         BlochState(np.full((2, 2), np.nan))
+
+
+def test_bloch_ball_is_relative_to_the_trace():
+    """BlochState's positivity test holds for any positive multiple of rho,
+    and a negative multiple or a NaN entry is outside."""
+    for rho, positive in ((ground_state().rho, True), (0.5 * (ID + SP + SM), True),
+                          (np.array([[0.5, 0.6], [0.6, 0.5]]), False)):
+        for scale in (1e-100, 1e-12, 3.0, 1e100):
+            inside, radius2, tr = bloch_ball(scale * rho)
+            assert inside is positive
+            assert tr == pytest.approx(scale)
+        assert not bloch_ball(-rho)[0]
+    assert not bloch_ball(np.full((2, 2), np.nan))[0]
 
 
 def test_bloch_state_rejects_negative_eigenvalue():

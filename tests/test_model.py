@@ -63,6 +63,8 @@ def test_rate_at_strictly_increasing():
 OVERFLOWING_RATES = [
     pytest.param(PhysicalParams(omega0=1e-100, omegaL=1e10), id="ratio-cubed-overflows"),
     pytest.param(PhysicalParams(omega0=1e10, omegaL=1e12, gamma0=1e305), id="gamma0-times-ratio"),
+    # numpy's ** warns and returns inf where Python's raises
+    pytest.param(PhysicalParams(omega0=np.float64(1e-100), omegaL=1e10), id="numpy-scalars"),
 ]
 
 
