@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -272,7 +273,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
+    # formatwarning, not showwarning: pytest.warns and catch_warnings still record
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
@@ -282,6 +289,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and any other invalid input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ parameters to the coefficients of that rotating-frame picture.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -102,29 +101,11 @@ class PhysicalParams:
                     f"{label}/omegaL = {v / self.omegaL:.3g} >= 1: "
                     "second-order treatment of the drive is invalid"
                 )
-            ## the message carries no per-point value, so the default filter
-            ## shows it once per process rather than once per sweep point
-            if v / self.omegaL > 0.25:
-                warnings.warn(
-                    f"{label}/omegaL > 0.25; "
-                    "second-order drive corrections may be inaccurate",
-                    PerturbativeDriveWarning,
-                    stacklevel=_caller_level(),
-                )
 
     @property
     def g_asym(self) -> float:
         """Asymmetry drive G = dipole_ratio * rabi (1/s)."""
         return self.dipole_ratio * self.rabi
-
-
-def _caller_level() -> int:
-    """Stacklevel, from __post_init__, of the first frame outside this module
-    and the dataclass machinery: the caller of PhysicalParams or with_rabi."""
-    frame, level = sys._getframe(2), 2
-    while frame is not None and frame.f_globals.get("__name__") in (__name__, "dataclasses"):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -211,13 +192,22 @@ def rate_at(omega: float, params: PhysicalParams) -> float:
 
 
 def from_physical(params: PhysicalParams) -> EffectiveModel:
-    """Reduce lab parameters to the rotating-frame effective model."""
+    """Reduce lab parameters to the rotating-frame effective model.
+
+    Warns, at the caller's line, where the drive strains the second-order
+    treatment (rabi or G above omegaL/4) and where the pair channel closes.
+    The messages are constant, so the default filter shows each once per
+    call site, not once per sweep point.
+    """
+    for label, v in (("rabi", params.rabi), ("G", params.g_asym)):
+        if v / params.omegaL > 0.25:
+            msg = f"{label}/omegaL > 0.25; second-order drive corrections may be inaccurate"
+            warnings.warn(msg, PerturbativeDriveWarning, stacklevel=2)
     omega = params.rabi
     bs_shift = omega * omega / (4.0 * params.omegaL)
     delta_eff = params.omega0 - params.omegaL + bs_shift
     pair_freq = params.omegaL - params.omega0 - bs_shift
     if pair_freq <= 0.0:
-        ## a constant message: shown once per process, not per sweep point
         warnings.warn(
             "pair channel closed: pair_freq <= 0",
             PairChannelClosedWarning,

@@ -468,14 +468,21 @@ def test_correlate_rejects_a_delay_that_overflows_the_propagator(tmp_path, capsy
     assert not out.exists()
 
 
-def test_correlate_exits_2_when_the_collapsed_state_leaves_the_positive_cone(
-        tmp_path, capsys):
-    """Unchecked, this input wrote g12 = -0.34132701 at tau = 1.7221726e-08."""
+def off_cone_cfg(tmp_path):
+    """rabi/omegaL = 0.30: strong drive, and a collapsed state that leaves
+    the positive cone within a few delays."""
     cfg = tmp_path / "off_cone.cfg"
     cfg.write_text(
         "omega0 = 4228507432267.1143\nomegaL = 33831139112034.574\n"
         "rabi = 10253141234189.902\ndipole_ratio = 0.17128596459608617\n"
         "gamma0 = 17592445.36897007\n", encoding="utf-8")
+    return cfg
+
+
+def test_correlate_exits_2_when_the_collapsed_state_leaves_the_positive_cone(
+        tmp_path, capsys):
+    """Unchecked, this input wrote g12 = -0.34132701 at tau = 1.7221726e-08."""
+    cfg = off_cone_cfg(tmp_path)
     out = tmp_path / "x.csv"
     with pytest.warns(model.PerturbativeDriveWarning):
         rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out)])
@@ -563,6 +570,21 @@ def test_closed_pair_channel_warns_once_per_sweep(tmp_path, child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("PairChannelClosedWarning") == 1
+    assert "warning: PairChannelClosedWarning: pair channel closed: pair_freq <= 0\n" in proc.stderr
+
+
+def test_cli_prints_a_physics_warning_as_one_line(tmp_path, child_env):
+    """On the command line a warning is one `warning:` line with no package
+    source line; the error that follows still sets the exit code."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "thzpair.cli", "correlate", "--config",
+         str(off_cone_cfg(tmp_path)), "--output", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=child_env,
+    )
+    assert proc.returncode == cli.EXIT_DEGENERATE, proc.stderr
+    assert ("warning: PerturbativeDriveWarning: rabi/omegaL > 0.25; second-order drive "
+            "corrections may be inaccurate\n") in proc.stderr
+    assert ".py:" not in proc.stderr
 
 
 def test_module_invocation_error_path(child_env):

@@ -204,12 +204,12 @@ def test_g2_tau_refuses_a_collapsed_state_outside_the_positive_cone():
     """At rabi/omegaL = 0.30 the steady state is positive, but the non-Lindblad
     cross channels carry the collapsed state out of the positive cone within
     a few delays; unchecked, g12 read -0.341 at tau = 1.72e-8 s."""
+    params = PhysicalParams(
+        omega0=4228507432267.1143, omegaL=33831139112034.574, rabi=10253141234189.902,
+        dipole_ratio=0.17128596459608617, gamma0=17592445.36897007,
+    )
     with pytest.warns(PerturbativeDriveWarning):
-        params = PhysicalParams(
-            omega0=4228507432267.1143, omegaL=33831139112034.574, rabi=10253141234189.902,
-            dipole_ratio=0.17128596459608617, gamma0=17592445.36897007,
-        )
-    g = build_adjoint_generator(from_physical(params))
+        g = build_adjoint_generator(from_physical(params))
     ss = steady_state(g)
     taus = np.linspace(0.0, 10.0 / g.model.gamma_R, 200)
     with pytest.raises(PhysicalityError, match=r"tau = 8\.61\d*e-09 s .* lambda_min/Tr = -0\.0069"):

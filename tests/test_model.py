@@ -213,23 +213,36 @@ def test_invalid_params_rejected(kwargs):
         PhysicalParams(**kwargs)
 
 
+STRONG_DRIVE = dict(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13))
+
+
+def test_strong_drive_params_construct_silently():
+    """The drive-ratio warning belongs to the reduction, not to the inputs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        PhysicalParams(**STRONG_DRIVE)
+        PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=2e13, dipole_ratio=100.0)
+
+
+@pytest.mark.filterwarnings("ignore::thzpair.model.PairChannelClosedWarning")  # rabi/omegaL 0.3
 def test_strong_drive_warning_and_hard_limit():
-    with pytest.warns(PerturbativeDriveWarning):
-        PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13))
+    with pytest.warns(
+        PerturbativeDriveWarning,
+        match=r"^rabi/omegaL > 0\.25; second-order drive corrections may be inaccurate$",
+    ):
+        from_physical(PhysicalParams(**STRONG_DRIVE))
     # the asymmetry drive G trips the same guards
-    with pytest.warns(PerturbativeDriveWarning):
-        PhysicalParams(
-            omega0=5e15, omegaL=5e15 + 1e13, rabi=2e13, dipole_ratio=100.0
-        )
+    asym = PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=2e13, dipole_ratio=100.0)
+    with pytest.warns(PerturbativeDriveWarning, match=r"^G/omegaL > 0\.25; "):
+        from_physical(asym)
     with pytest.raises(ValueError, match="second-order treatment"):
         PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=6e15)
 
 
 def test_strong_drive_warning_names_the_calling_line(tmp_path):
-    """PerturbativeDriveWarning points at the caller, never at the
-    dataclass-generated __init__ (``<string>``): the line that constructs
-    the params, the line that calls with_rabi, and for the CLI a line of the
-    package's own cli module."""
+    """Both physics warnings point at the line that calls from_physical,
+    never into the model: the caller's own line, and for the CLI the line of
+    the package's own cli module that calls it."""
     from thzpair import cli
 
     def caught(fn):
@@ -238,18 +251,20 @@ def test_strong_drive_warning_names_the_calling_line(tmp_path):
             fn()
         drive = [w for w in ws if issubclass(w.category, PerturbativeDriveWarning)]
         assert drive
-        return drive
+        return [w for w in ws if issubclass(
+            w.category, (PerturbativeDriveWarning, PairChannelClosedWarning))]
 
+    strong = PhysicalParams(**STRONG_DRIVE)
     for fn in (
-        lambda: PhysicalParams(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13)),
-        lambda: with_rabi(preset("gan-dot"), 2e15),
+        lambda: from_physical(strong),
+        lambda: from_physical(with_rabi(preset("gan-dot"), 2e15)),
     ):
         for w in caught(fn):
             assert (w.filename, w.lineno) == (__file__, fn.__code__.co_firstlineno)
 
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("preset = gan-dot\nomega_max = 2e15\npoints = 2\n", encoding="utf-8")
-    steady = ["steady", "--preset", "gamma-globulin", "--rabi", "2e15"]
+    steady = ["steady", "--preset", "gan-dot", "--rabi", "2e15"]
     sweep = ["sweep", "--config", str(cfg), "--output", str(tmp_path / "hot.csv")]
     for argv in (steady, sweep):
         for w in caught(lambda: cli.main(argv)):
