@@ -102,8 +102,9 @@ def sweep_csv(rows) -> str:
 def _resolve(args) -> tuple:
     """(PhysicalParams, SweepSpec keyword arguments) for a subcommand.
 
-    Sources merge preset <- config file <- flags, later wins; the grid keys
-    are split off here and only ``sweep`` uses them.
+    Sources merge preset <- config file <- flags, later wins; a flag counts
+    when its name is a config key.  The grid keys are split off here and
+    only ``sweep`` uses them.
     """
     mapping: dict = {}
     if args.config is not None:
@@ -113,17 +114,12 @@ def _resolve(args) -> tuple:
         except OSError as exc:
             raise model.ConfigError(f"cannot read config file {args.config}: {exc}")
         mapping.update(model.parse_config(text))
-    if args.preset is not None:
-        mapping["preset"] = args.preset
-    if getattr(args, "rabi", None) is not None:
-        mapping["rabi"] = args.rabi
+    flags = {k: v for k, v in vars(args).items() if k in model.CONFIG_KEYS and v is not None}
+    if "rabi" in flags:  # replaces the file's field route to the drive
         mapping.pop("e0_field", None)
         mapping.pop("p12_debye", None)
-    grid_keys = [f.name for f in fields(SweepSpec) if f.name != "base"]
-    for key in grid_keys:  # only sweep has grid flags
-        if getattr(args, key, None) is not None:
-            mapping[key] = getattr(args, key)
-    grid = {key: mapping.pop(key) for key in grid_keys if key in mapping}
+    mapping.update(flags)
+    grid = {f.name: mapping.pop(f.name) for f in fields(SweepSpec) if f.name in mapping}
     return model.params_from_mapping(mapping), grid
 
 

@@ -6,12 +6,13 @@ sourced by S+.  All proportionality constants between field and source
 cancel in the normalized g2, so the correlators reduce to ratios of atomic
 expectation values:
 
-    g_ij(0)   = <B_i B_j B_j^dag B_i^dag> / (<B_i B_i^dag> <B_j B_j^dag>)
-    g_ij(tau) = Tr( B_j B_j^dag * e^{L tau}[ B_i^dag rho B_i ] ) / (same)
+    g_ij(tau) = Tr( B_j B_j^dag * e^{L tau}[ B_i^dag rho B_i ] )
+                / (<B_i B_i^dag> <B_j B_j^dag>)
 
 with B_1 = S-, B_2 = S+.  Detecting a photon on channel i at time zero
 collapses the state to B_i^dag rho B_i (a THz click leaves the emitter
 excited), which then relaxes under the same generator as one-time averages.
+At tau = 0 the numerator is <B_i B_j B_j^dag B_i^dag>, the zero-delay g_ij(0).
 """
 
 from __future__ import annotations
@@ -49,20 +50,11 @@ def _diagonal(op: np.ndarray) -> tuple:
     return tuple(op.diagonal().real.tolist())
 
 
-# For S+ and S- each normal-ordered intensity B B^dag and each zero-delay
-# numerator B_i B_j B_j^dag B_i^dag is diagonal (a projector or zero), so its
-# expectation reads off an operator's populations p as d0*p0 + d1*p1.  That
-# is Tr(rho op) bit for bit: the other terms of the trace are signed zeros.
+# For S+ and S- each normal-ordered intensity B B^dag is diagonal (a
+# projector), so its expectation reads off an operator's populations p as
+# d0*p0 + d1*p1.  That is Tr(op B B^dag) bit for bit: the other terms of the
+# trace are signed zeros.
 _INTENSITY_DIAG = {c: _diagonal(b @ dagger(b)) for c, b in CHANNEL_SOURCES.items()}
-_NUMERATOR_DIAG = {
-    (i, j): _diagonal(bi @ bj @ dagger(bj) @ dagger(bi))
-    for i, bi in CHANNEL_SOURCES.items()
-    for j, bj in CHANNEL_SOURCES.items()
-}
-
-
-def _read(diag: tuple, pops: list) -> float:
-    return diag[0] * pops[0] + diag[1] * pops[1]
 
 
 @dataclass(frozen=True)
@@ -78,9 +70,21 @@ class CorrelationReport:
     violated: bool
 
 
-def _mean_intensity(channel: int, pops: list) -> float:
+def _intensity(channel: int, op: np.ndarray) -> float:
+    """Tr(op B B^dag) for the channel's source B, read off op's populations."""
+    (d0, d1), (p0, p1) = _INTENSITY_DIAG[channel], op.diagonal().real.tolist()
+    return d0 * p0 + d1 * p1
+
+
+def _collapse(channel: int, rho: np.ndarray) -> np.ndarray:
+    """B^dag rho B: the un-normalized state a detection on the channel leaves."""
+    b = CHANNEL_SOURCES[channel]
+    return dagger(b) @ rho @ b
+
+
+def _mean_intensity(channel: int, rho: np.ndarray) -> float:
     try:
-        value = _read(_INTENSITY_DIAG[channel], pops)
+        value = _intensity(channel, rho)
     except KeyError:
         raise ValueError(f"channel must be 1 or 2, got {channel}") from None
     if value <= _INTENSITY_FLOOR:
@@ -91,10 +95,11 @@ def _mean_intensity(channel: int, pops: list) -> float:
 
 
 def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
-    """Normalized zero-delay cross-correlation of channels i then j."""
-    pops = rho_ss.rho.diagonal().real.tolist()
-    den = _mean_intensity(i, pops) * _mean_intensity(j, pops)
-    return _read(_NUMERATOR_DIAG[i, j], pops) / den
+    """Normalized zero-delay cross-correlation of channels i then j: the
+    channel-j intensity of the collapsed state, g2_tau's read at tau = 0."""
+    rho = rho_ss.rho
+    den = _mean_intensity(i, rho) * _mean_intensity(j, rho)
+    return _intensity(j, _collapse(i, rho)) / den
 
 
 def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
@@ -126,11 +131,9 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
         raise ValueError("tau_grid must be non-negative")
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be sorted ascending")
-    pops = rho_ss.rho.diagonal().real.tolist()
-    den = _mean_intensity(i, pops) * _mean_intensity(j, pops)
-    bi = CHANNEL_SOURCES[i]
-    collapsed = dagger(bi) @ rho_ss.rho @ bi
-    intensity_j = _INTENSITY_DIAG[j]
+    rho = rho_ss.rho
+    den = _mean_intensity(i, rho) * _mean_intensity(j, rho)
+    collapsed = _collapse(i, rho)
     out = []
     for tau in taus:
         evolved = propagate_dual(g, collapsed, tau)
@@ -140,5 +143,5 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
                 f"collapsed state at tau = {tau!r} s is not positive: "
                 f"lambda_min/Tr = {0.5 - math.sqrt(radius2) / tr:.3g}"
             )
-        out.append(_read(intensity_j, evolved.diagonal().real.tolist()) / den)
+        out.append(_intensity(j, evolved) / den)
     return out

@@ -1,15 +1,15 @@
 """Adjoint generator of the five-channel master equation and its flows.
 
 The emitter obeys a Born-Markov master equation with one coherent part and
-five dissipative terms.  In the Heisenberg picture each term acts on an
-observable Q as
+five dissipative terms.  Each term pairs a jump with its adjoint: in the
+Heisenberg picture it acts on an observable Q as
 
-    -w * ( A [B, Q] + [Q, C] D )
+    -w * ( A [B, Q] + [Q, B^dag] A^dag ) = -w * ( T + T^dag ),  T = A [B, Q]
 
-with operator pairs drawn from {S+, S-, S_z} and weight w; the channels are
-not of diagonal Lindblad form (the S_z/S-minus cross terms carry a
-non-positive coupling matrix), so density-matrix positivity holds only up to
-the perturbatively small cross-channel weights.
+for Hermitian Q, with A and B drawn from {S+, S-, S_z} and weight w; the
+channels are not of diagonal Lindblad form (the S_z/S-minus cross terms
+carry a non-positive coupling matrix), so density-matrix positivity holds
+only up to the perturbatively small cross-channel weights.
 
 The generator is assembled *numerically* from these operator expressions --
 no hand-derived Bloch coefficients anywhere -- so the conservation of the
@@ -32,6 +32,7 @@ from .algebra import (
     SP,
     SZ,
     commutator,
+    dagger,
     hs_decompose,
     hs_reconstruct,
 )
@@ -184,21 +185,16 @@ class AdjointGenerator:
         return dual, (lam, v, np.linalg.inv(v)), reach
 
 
-## The five dissipative channels as (A, B, C, D) operator tuples; term k
-## contributes -w_k*(A[B,Q] + [Q,C]D) to d<Q>/dt, with w_k from _weights:
+## The five dissipative channels as (A, B) operator pairs; for Hermitian Q
+## term k contributes -w_k*(T + T^dag), T = A[B,Q], to d<Q>/dt, with w_k from
+## _weights:
 ##   1. optical relaxation of the transition,
 ##   2. cross channel mixing inversion noise into the coherence decay,
 ##   3. pair-channel pump (emission of a low-frequency photon excites the
 ##      emitter; its weight carries the squared asymmetry prefactor),
 ##   4. mirror cross channel,
 ##   5. drive-induced dephasing at the laser frequency.
-_CHANNELS = (
-    (SP, SM, SP, SM),
-    (SZ, SM, SP, SZ),
-    (SM, SP, SM, SP),
-    (SP, SZ, SZ, SM),
-    (SZ, SZ, SZ, SZ),
-)
+_CHANNELS = ((SP, SM), (SZ, SM), (SM, SP), (SP, SZ), (SZ, SZ))
 
 
 def _weights(model: EffectiveModel) -> tuple:
@@ -213,11 +209,12 @@ def _weights(model: EffectiveModel) -> tuple:
 
 
 def _adjoint_image(q: np.ndarray, h0: np.ndarray, weights) -> np.ndarray:
-    """Heisenberg-picture image L^adj(q) under Hamiltonian h0 and the
-    channels of _CHANNELS at the given weights."""
+    """Heisenberg-picture image L^adj(q) of a Hermitian q under Hamiltonian
+    h0 and the channels of _CHANNELS at the given weights; Hermitian too."""
     img = 1j * commutator(h0, q)
-    for (a, b, c, d), w in zip(_CHANNELS, weights):
-        img = img - w * (a @ commutator(b, q) + commutator(q, c) @ d)
+    for (a, b), w in zip(_CHANNELS, weights):
+        t = a @ commutator(b, q)
+        img = img - w * (t + dagger(t))
     return img
 
 
@@ -227,8 +224,7 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     weights = _weights(model)
     cols = [hs_decompose(_adjoint_image(q, h0, weights)) for q in HS_BASIS]
-    ## every channel has C = B^dag and D = A^dag, so L^adj maps Hermitian
-    ## observables to Hermitian ones: the imaginary parts are rounding residue
+    ## Hermitian images of a Hermitian basis have real coefficients
     return AdjointGenerator(matrix=np.column_stack(cols).real, model=model)
 
 

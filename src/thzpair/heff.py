@@ -232,20 +232,19 @@ def compare_to_target(derived: dict, model: EffectiveModel) -> HeffReport:
       * S_z (x) 1       static      -> bs_shift
       * a^dag S+        harmonic +1 -> -i * sqrt(c_pump) * g
       * (a - a^dag) S_z static      -> -i * c_cross * g
+    An absent harmonic has zero coefficients; an undriven emitter averages
+    to no harmonic at all, and every target is zero there.
     """
-    ops = _ops(_mode_truncation(derived))
-    zero = np.zeros_like(ops.sz)
-    static = derived.get(0, zero)
-    first = derived.get(+1, zero)
-
     cases = (
-        ("bloch_siegert", static, ops.sz, model.bs_shift),
-        ("pair_creation", first, ops.pair, -1j * math.sqrt(model.c_pump) * _COUPLING),
-        ("mode_displacement", static, ops.displacement, -1j * model.c_cross * _COUPLING),
+        ("bloch_siegert", 0, "sz", model.bs_shift),
+        ("pair_creation", +1, "pair", -1j * math.sqrt(model.c_pump) * _COUPLING),
+        ("mode_displacement", 0, "displacement", -1j * model.c_cross * _COUPLING),
     )
+    ops = _ops(_mode_truncation(derived)) if derived else None
     checks = []
-    for name, matrix, pattern, target in cases:
-        measured = _project(matrix, pattern)
+    for name, harmonic, pattern, target in cases:
+        matrix = derived.get(harmonic)
+        measured = 0j if matrix is None else _project(matrix, getattr(ops, pattern))
         if target == 0:
             deviation = 0.0 if measured == 0 else float("inf")
         else:

@@ -179,6 +179,8 @@ def rate_at(omega: float, params: PhysicalParams) -> float:
 
     A non-positive frequency means the channel is closed, not a fault.
     """
+    if not math.isfinite(omega):
+        raise ConfigError(f"emission frequency must be finite, got {omega!r}")
     if omega <= 0.0:
         return 0.0
     ## in Python floats: their cube past float range raises, where numpy's warns
@@ -206,7 +208,7 @@ def from_physical(params: PhysicalParams) -> EffectiveModel:
     omega = params.rabi
     bs_shift = omega * omega / (4.0 * params.omegaL)
     delta_eff = params.omega0 - params.omegaL + bs_shift
-    pair_freq = params.omegaL - params.omega0 - bs_shift
+    pair_freq = 0.0 - delta_eff  # -delta_eff, with +0.0 rather than -0.0 at zero
     if pair_freq <= 0.0:
         warnings.warn(
             "pair channel closed: pair_freq <= 0",

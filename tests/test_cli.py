@@ -503,6 +503,15 @@ def test_verify_heff_passes(capsys):
         assert name in text
 
 
+@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
+def test_verify_heff_passes_at_zero_drive(name, capsys):
+    rc = cli.main(["verify-heff", "--preset", name, "--rabi", "0"])
+    assert rc == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.endswith("derivation check passed\n")
+    assert captured.err == ""
+
+
 def test_verify_heff_truncation_guard(capsys):
     rc = cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13",
                    "--mode-truncation", "1"])

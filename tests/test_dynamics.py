@@ -25,6 +25,7 @@ from thzpair.algebra import (
     SP,
     SZ,
     commutator,
+    dagger,
     expectation,
     hs_decompose,
     hs_reconstruct,
@@ -68,12 +69,14 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
     structural zeros of rho survive exactly (no eps-sized residue from
     cancelling matrix entries): the reference for the generator and for
     _GROUND_RHS.  The package states each channel only in the Heisenberg
-    picture, -w (A[B,Q] + [Q,C]D); this is its trace dual, the one
-    state-picture form of the channels.
+    picture, as its (A, B) pair, -w (A[B,Q] + [Q,C]D) with C = B^dag and
+    D = A^dag; this is its trace dual, the one state-picture form of the
+    channels.
     """
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     out = -1j * commutator(h0, rho)
-    for (a, b, c, d), w in zip(_CHANNELS, _weights(model)):
+    for (a, b), w in zip(_CHANNELS, _weights(model)):
+        c, d = dagger(b), dagger(a)
         out = out - w * (rho @ a @ b - b @ rho @ a + c @ d @ rho - d @ rho @ c)
     return out
 

@@ -227,6 +227,20 @@ def test_missing_pair_pattern_is_flagged():
     assert pair.note == "operator pattern missing from the averaged Hamiltonian"
 
 
+@pytest.mark.parametrize("name", ["gamma-globulin", "gan-dot"])
+def test_zero_drive_reads_every_coefficient_as_zero(name):
+    """Undriven, the drive-only average has no harmonic at all.  An absent
+    harmonic reads as zero coefficients, every target is zero too, and the
+    check passes at each truncation."""
+    params = preset(name)
+    assert params.rabi == 0.0
+    model = from_physical(params)
+    assert compare_to_target({}, model).all_within(0.0)
+    for n in (2, 3, 8):
+        report = verify_derivation(params, model, n_trunc=n)
+        assert [(c.measured, c.target, c.deviation) for c in report.checks] == [(0j, 0j, 0.0)] * 3
+
+
 def test_verify_heff_does_not_load_numpy_ma(child_env):
     """np.unique imports numpy.ma on its first call, a tenth of a cold
     verify-heff run; the harmonic bookkeeping does without it."""

@@ -79,6 +79,14 @@ def test_rate_past_float_range_is_a_config_error(p):
     assert math.isfinite(rate_at(p.omega0, p))
 
 
+@pytest.mark.parametrize("omega", [float("nan"), math.inf, -math.inf])
+def test_rate_at_rejects_a_non_finite_frequency(omega):
+    """A NaN or infinite frequency is refused by name, not reported as an
+    overflow of the rate."""
+    with pytest.raises(ConfigError, match=r"emission frequency must be finite, got (nan|-?inf)$"):
+        rate_at(omega, preset("gan-dot"))
+
+
 # --- reduction to the effective model ---------------------------------------
 
 
@@ -165,6 +173,27 @@ def test_frequency_bookkeeping_identity():
         # stay below the large-drive warning threshold (G/omegaL = 0.25)
         m = from_physical(with_rabi(base, float(rng.uniform(0, 1.2e13))))
         assert abs(m.pair_freq + m.bs_shift + m.omega0 - m.omegaL) <= 1e-15 * m.omegaL
+
+
+def test_pair_frequency_is_the_negated_effective_detuning_bit_for_bit():
+    """pair_freq = -delta_eff, and bit for bit the lab-frame difference
+    omegaL - omega0 - bs_shift, over seeded drives of both presets; where
+    the two levels meet it is +0.0, as that difference rounds."""
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    rng = np.random.default_rng(41)
+    for name, rabi_max in (("gamma-globulin", 4.9e13), ("gan-dot", 1e15)):
+        for e in rng.uniform(11.0, math.log10(rabi_max), 50):
+            p = with_rabi(preset(name), 10.0**e)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # closed pair channel, strong drive
+                m = from_physical(p)
+            assert m.pair_freq == -m.delta_eff
+            assert bits(m.pair_freq) == bits(p.omegaL - p.omega0 - m.bs_shift)
+    with pytest.warns(PairChannelClosedWarning):
+        m = from_physical(PhysicalParams(omega0=5e15, omegaL=5e15))
+    assert bits(m.pair_freq) == bits(0.0)
 
 
 def test_closed_pair_channel_warns_and_zeroes_gamma_T():
