@@ -44,15 +44,10 @@ PROJ_EXCITED = _frozen([[0.0, 0.0], [0.0, 1.0]])  # |2><2| = S+S-
 # <A, B> = Tr(A^dag B): (1, sigma_x, sigma_y, sigma_z)/sqrt2.  Every element
 # is Hermitian, so a Hermitian operator has real coefficients and a
 # Hermiticity-preserving generator is a real matrix (the coherence-vector
-# form); coefficients 1..3 are the Bloch vector over sqrt2.
-HS_BASIS = tuple(
-    _frozen(m)
-    for m in (
-        ID / np.sqrt(2.0),
-        (SP + SM) / np.sqrt(2.0),
-        1j * (SP - SM) / np.sqrt(2.0),
-        np.sqrt(2.0) * SZ,
-    )
+# form); coefficients 1..3 are the Bloch vector over sqrt2.  One (4, 2, 2)
+# array: HS_BASIS[k] is e_k, and HS_BASIS[1:] the traceless elements.
+HS_BASIS = _frozen(
+    [ID / np.sqrt(2.0), (SP + SM) / np.sqrt(2.0), 1j * (SP - SM) / np.sqrt(2.0), np.sqrt(2.0) * SZ]
 )
 
 
@@ -62,21 +57,21 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Hermitian conjugate."""
-    return m.conj().T
+    """Hermitian conjugate of an operator, or of each operator in a stack."""
+    return m.conj().swapaxes(-2, -1)
 
 
 def hs_decompose(m: np.ndarray) -> np.ndarray:
-    """Coefficients c_k = Tr(e_k^dag m) of m in HS_BASIS."""
-    return np.array([np.trace(dagger(e) @ m) for e in HS_BASIS])
+    """Coefficients c_k = Tr(e_k^dag m) of m in HS_BASIS; a stack m of shape
+    (..., 2, 2) gives shape (4, ...), one column per operator."""
+    return np.array([np.trace(dagger(e) @ m, axis1=-2, axis2=-1) for e in HS_BASIS])
 
 
 def hs_reconstruct(coeffs) -> np.ndarray:
-    """Inverse of hs_decompose: sum_k c_k e_k over HS_BASIS."""
-    out = np.zeros_like(HS_BASIS[0])
-    for c, e in zip(coeffs, HS_BASIS):
-        out = out + c * e
-    return out
+    """Inverse of hs_decompose for one operator: sum_k c_k e_k over HS_BASIS."""
+    ## einsum adds the terms in order k = 0..3 like a plain loop; tensordot's
+    ## BLAS path can round the last bit differently
+    return np.einsum("k,kij->ij", np.asarray(coeffs, dtype=complex), HS_BASIS)
 
 
 def expectation(q: np.ndarray, rho: np.ndarray) -> complex:

@@ -209,8 +209,9 @@ def _weights(model: EffectiveModel) -> tuple:
 
 
 def _adjoint_image(q: np.ndarray, h0: np.ndarray, weights) -> np.ndarray:
-    """Heisenberg-picture image L^adj(q) of a Hermitian q under Hamiltonian
-    h0 and the channels of _CHANNELS at the given weights; Hermitian too."""
+    """Heisenberg-picture image L^adj(q) of a Hermitian q, or of each q in a
+    stack, under Hamiltonian h0 and the channels of _CHANNELS at the given
+    weights; Hermitian too."""
     img = 1j * commutator(h0, q)
     for (a, b), w in zip(_CHANNELS, weights):
         t = a @ commutator(b, q)
@@ -223,9 +224,9 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     ## coherent part: effective detuning plus the semiclassical drive
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     weights = _weights(model)
-    cols = [hs_decompose(_adjoint_image(q, h0, weights)) for q in HS_BASIS]
-    ## Hermitian images of a Hermitian basis have real coefficients
-    return AdjointGenerator(matrix=np.column_stack(cols).real, model=model)
+    images = np.array([_adjoint_image(q, h0, weights) for q in HS_BASIS])
+    ## image q is column q; Hermitian images have real coefficients
+    return AdjointGenerator(matrix=hs_decompose(images).real, model=model)
 
 
 def dual_generator(g: AdjointGenerator) -> np.ndarray:
@@ -245,7 +246,7 @@ def dual_generator(g: AdjointGenerator) -> np.ndarray:
 ## comes from one term alone (the drive gives sigma_y, cross channel 2 sigma_x,
 ## the pump sigma_z), so the dot product rounds exactly as the tests' L(|1><1|).
 _UNIT_TERMS = ((SZ, ()), (0.5 * (SP + SM), ()), *((0.0 * SZ, w) for w in np.eye(len(_CHANNELS))))
-_GROUND_RHS = np.array([[_adjoint_image(e, h0, w)[0, 0].real for e in HS_BASIS[1:]]
+_GROUND_RHS = np.array([_adjoint_image(HS_BASIS[1:], h0, w)[:, 0, 0].real
                         for h0, w in _UNIT_TERMS])
 _GROUND_RHS.setflags(write=False)
 

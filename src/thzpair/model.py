@@ -206,7 +206,7 @@ def from_physical(params: PhysicalParams) -> EffectiveModel:
             msg = f"{label}/omegaL > 0.25; second-order drive corrections may be inaccurate"
             warnings.warn(msg, PerturbativeDriveWarning, stacklevel=2)
     omega = params.rabi
-    bs_shift = omega * omega / (4.0 * params.omegaL)
+    bs_shift = omega * (omega / (4.0 * params.omegaL))  # omega^2 alone overflows past ~1e154
     delta_eff = params.omega0 - params.omegaL + bs_shift
     pair_freq = 0.0 - delta_eff  # -delta_eff, with +0.0 rather than -0.0 at zero
     if pair_freq <= 0.0:

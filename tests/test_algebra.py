@@ -1,5 +1,7 @@
 """Operator algebra: su(2) relations, basis orthonormality, decomposition."""
 
+import warnings
+
 import numpy as np
 
 from thzpair.algebra import (
@@ -16,6 +18,8 @@ from thzpair.algebra import (
     hs_decompose,
     hs_reconstruct,
 )
+from thzpair.dynamics import _adjoint_image, _weights, build_adjoint_generator
+from thzpair.model import from_physical, preset, with_rabi
 
 
 def test_su2_relations_exact():
@@ -87,5 +91,51 @@ def test_expectation_linearity():
 
 
 def test_basis_is_read_only():
+    assert HS_BASIS.shape == (4, 2, 2)
+    assert not HS_BASIS.flags.writeable
     for e in HS_BASIS:
         assert not e.flags.writeable
+
+
+def decompose_one(m):
+    """Tr(e_k^dag m) for one 2x2 operator, element by element."""
+    return np.array([np.trace(e.conj().T @ m) for e in HS_BASIS])
+
+
+def test_decompose_of_a_stack_is_the_per_operator_decomposition_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        stack = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        got = hs_decompose(stack)
+        assert got.shape == (4, 4)
+        want = np.column_stack([decompose_one(m) for m in stack])
+        assert np.array_equal(got, want)
+        assert np.array_equal(dagger(stack), np.array([m.conj().T for m in stack]))
+
+
+def test_reconstruct_equals_the_accumulation_loop_bit_for_bit():
+    def loop(coeffs):
+        out = np.zeros_like(HS_BASIS[0])
+        for c, e in zip(coeffs, HS_BASIS):
+            out = out + c * e
+        return out
+
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        real = rng.standard_normal(4) * 10.0 ** rng.uniform(-12, 12, 4)
+        cplx = real + 1j * rng.standard_normal(4) * 10.0 ** rng.uniform(-12, 12, 4)
+        for coeffs in (real, list(real), cplx):
+            assert np.array_equal(hs_reconstruct(coeffs), loop(coeffs))
+
+
+def test_generator_equals_the_per_image_column_stack_bit_for_bit():
+    """One hs_decompose over the stacked images gives the matrix that
+    decomposing each image and stacking the columns gives."""
+    for name, rabi_max in (("gamma-globulin", 4.9e13), ("gan-dot", 1e15)):
+        for rabi in np.logspace(11.0, np.log10(rabi_max), 50):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # strong drive, closed pair channel
+                m = from_physical(with_rabi(preset(name), float(rabi)))
+            h0 = m.delta_eff * SZ + 0.5 * m.omega_rabi * (SP + SM)
+            cols = [decompose_one(_adjoint_image(q, h0, _weights(m))) for q in HS_BASIS]
+            assert np.array_equal(build_adjoint_generator(m).matrix, np.column_stack(cols).real)

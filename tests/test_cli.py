@@ -389,6 +389,18 @@ def test_unphysical_solve_exits_2(monkeypatch, capsys):
     assert "Tr rho" in capsys.readouterr().err
 
 
+def test_light_shift_past_rabi_squared_range_reaches_the_solve(tmp_path, capsys):
+    """rabi^2 overflows here but the light shift 2.5e297 does not, so the
+    input is not refused as an infinite emission frequency (exit 1); the
+    solve itself finds the reduced system singular (exit 2)."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("omega0 = 1e300\nomegaL = 1e300\nrabi = 1e299\n", encoding="utf-8")
+    with pytest.warns(model.PairChannelClosedWarning):
+        rc = cli.main(["steady", "--config", str(cfg)])
+    assert rc == cli.EXIT_DEGENERATE
+    assert "reduced system is singular" in capsys.readouterr().err
+
+
 # --- correlate --------------------------------------------------------------------
 
 

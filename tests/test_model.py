@@ -79,6 +79,15 @@ def test_rate_past_float_range_is_a_config_error(p):
     assert math.isfinite(rate_at(p.omega0, p))
 
 
+def test_light_shift_is_finite_where_rabi_squared_overflows():
+    """rabi^2 = 1e598 leaves float range, but rabi^2/(4 omegaL) = 2.5e297
+    does not: the shift is formed as rabi * (rabi / (4 omegaL))."""
+    with pytest.warns(PairChannelClosedWarning):
+        m = from_physical(PhysicalParams(omega0=1e300, omegaL=1e300, rabi=1e299))
+    assert math.isfinite(m.bs_shift)
+    assert abs(m.bs_shift - 2.5e297) <= 1e-15 * 2.5e297
+
+
 @pytest.mark.parametrize("omega", [float("nan"), math.inf, -math.inf])
 def test_rate_at_rejects_a_non_finite_frequency(omega):
     """A NaN or infinite frequency is refused by name, not reported as an
