@@ -88,12 +88,14 @@ _COLUMNS = [(f.name, _CELL[f.type]) for f in fields(SweepRow) if f.name != "fail
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
+def _csv(header: str, rows) -> str:
+    """The header, then one comma-joined line of cells per row; each line ends in "\n"."""
+    return "\n".join([header, *(",".join(cells) for cells in rows)]) + "\n"
+
+
 def sweep_csv(rows) -> str:
     """Deterministic CSV serialization, 9 significant digits."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([cell(getattr(r, name)) for name, cell in _COLUMNS]))
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, ([cell(getattr(r, name)) for name, cell in _COLUMNS] for r in rows))
 
 
 # --- configuration assembly -------------------------------------------------
@@ -109,9 +111,9 @@ def _resolve(args) -> tuple:
     mapping: dict = {}
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:  # BOM or not
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise model.ConfigError(f"cannot read config file {args.config}: {exc}")
         mapping.update(model.parse_config(text))
     flags = {k: v for k, v in vars(args).items() if k in model.CONFIG_KEYS and v is not None}
@@ -177,10 +179,7 @@ def cmd_correlate(args) -> int:
     taus = np.linspace(0.0, tau_max, args.tau_points)
     g12 = correlations.g2_tau(1, 2, gen, ss, taus)
     g21 = correlations.g2_tau(2, 1, gen, ss, taus)
-    lines = ["tau,g12,g21"]
-    for t, a, b in zip(taus, g12, g21):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, _csv("tau,g12,g21", (map(_fmt, row) for row in zip(taus, g12, g21))))
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzpair import cli, dynamics, model
+from thzpair import cli, correlations, dynamics, model
 from thzpair.model import ConfigError, PhysicalParams, preset, with_rabi
 
 
@@ -420,6 +420,24 @@ def test_correlate_default_horizon(tmp_path):
     assert 0.99 < float(last[2]) < 1.01
 
 
+@pytest.mark.parametrize("name, rabi", [("gamma-globulin", 1e13), ("gan-dot", 1e14)])
+def test_correlate_csv_bytes(name, rabi, tmp_path):
+    """The file is the header, then one line of .9g cells per delay, each line
+    ending in a newline: the same format as the sweep CSV."""
+    out = tmp_path / "corr.csv"
+    assert cli.main(["correlate", "--preset", name, "--rabi", str(rabi),
+                     "--tau-points", "50", "--output", str(out)]) == 0
+    eff = model.from_physical(with_rabi(preset(name), rabi))
+    gen = dynamics.build_adjoint_generator(eff)
+    ss = dynamics.steady_state(gen)
+    taus = np.linspace(0.0, 10.0 / eff.gamma_R, 50)
+    columns = (taus, correlations.g2_tau(1, 2, gen, ss, taus),
+               correlations.g2_tau(2, 1, gen, ss, taus))
+    expected = "tau,g12,g21\n" + "".join(
+        ",".join(format(x, ".9g") for x in row) + "\n" for row in zip(*columns))
+    assert out.read_bytes() == expected.encode()
+
+
 def test_correlate_single_point_grid(tmp_path):
     out = tmp_path / "one.csv"
     rc = cli.main(["correlate", "--preset", "gamma-globulin", "--rabi", "1e13",
@@ -563,6 +581,25 @@ def test_bad_config_key_exit_1(tmp_path, capsys):
     cfg.write_text("preset = gamma-globulin\nwavelength = 5\n", encoding="utf-8")
     assert cli.main(["steady", "--config", str(cfg), "--rabi", "1e12"]) == cli.EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    """A UTF-8 byte-order mark, as some editors write one, reads as no mark."""
+    text = "preset = gan-dot\nrabi = 1e13\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert cli.main(["steady", "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["steady", "--config", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_config_file_not_utf8_names_path(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9 drive\npreset = gan-dot\n".encode("latin-1"))
+    assert cli.main(["steady", "--config", str(cfg), "--rabi", "1e13"]) == cli.EXIT_CONFIG
+    assert f"cannot read config file {cfg}:" in capsys.readouterr().err
 
 
 # --- module entry point --------------------------------------------------------------
