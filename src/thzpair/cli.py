@@ -31,6 +31,7 @@ _DEGENERATE = (
     dynamics.NoRelaxationError,
     dynamics.PhysicalityError,
     correlations.ChannelDarkError,
+    np.linalg.LinAlgError,  # a ValueError, so main must catch it before ValueError
 )
 
 
@@ -59,7 +60,7 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
     try:
         eff, _, ss = _solve(model.with_rabi(base, omega))
         rep = correlations.cauchy_schwarz(ss)
-    except (model.ConfigError, np.linalg.LinAlgError, *_DEGENERATE):
+    except (model.ConfigError, *_DEGENERATE):
         nan = float("nan")
         return SweepRow(omega, nan, nan, nan, nan, nan, nan, False, nan, failed=True)
     return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,

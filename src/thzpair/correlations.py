@@ -94,12 +94,17 @@ def _mean_intensity(channel: int, rho: np.ndarray) -> float:
     return value
 
 
+def _zero_delay(rho: np.ndarray, *pairs) -> list:
+    """g_ij(0) = I_j(B_i^dag rho B_i) / (n_i n_j) for each pair (i, j), g2_tau's
+    read at tau = 0; each channel's n and collapsed state are formed once."""
+    n = {c: _mean_intensity(c, rho) for c in dict.fromkeys(sum(pairs, ()))}
+    collapsed = {i: _collapse(i, rho) for i in dict.fromkeys(i for i, _ in pairs)}
+    return [_intensity(j, collapsed[i]) / (n[i] * n[j]) for i, j in pairs]
+
+
 def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
-    """Normalized zero-delay cross-correlation of channels i then j: the
-    channel-j intensity of the collapsed state, g2_tau's read at tau = 0."""
-    rho = rho_ss.rho
-    den = _mean_intensity(i, rho) * _mean_intensity(j, rho)
-    return _intensity(j, _collapse(i, rho)) / den
+    """Normalized zero-delay cross-correlation of channels i then j."""
+    return _zero_delay(rho_ss.rho, (i, j))[0]
 
 
 def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
@@ -110,7 +115,7 @@ def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
     cs_lhs = 0 and any nonzero cross-correlation violates the classical
     bound cs_lhs >= cs_rhs.
     """
-    g11, g22, g12, g21 = (g2_zero(i, j, rho_ss) for i, j in ((1, 1), (2, 2), (1, 2), (2, 1)))
+    g11, g22, g12, g21 = _zero_delay(rho_ss.rho, (1, 1), (2, 2), (1, 2), (2, 1))
     cs_lhs = g11 * g22
     cs_rhs = g12 * g12
     return CorrelationReport(g11, g22, g12, g21, cs_lhs, cs_rhs, bool(cs_lhs < cs_rhs))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from thzpair import correlations
 from thzpair.algebra import SM, SP, dagger, expectation
 from thzpair.correlations import (
     CHANNEL_SOURCES,
@@ -166,6 +168,37 @@ def test_dark_channel_raises():
         cauchy_schwarz(ss)
     with pytest.raises(ChannelDarkError):
         g2_zero(1, 2, ss)
+
+
+def test_a_report_forms_each_channels_reads_once(monkeypatch):
+    """cauchy_schwarz forms 2 mean intensities and 2 collapsed states, one
+    per channel (four g2_zero calls formed 8 and 4); g2_zero forms one
+    intensity per channel and the collapse of channel i alone."""
+    counts = Counter()
+    for name in ("_collapse", "_mean_intensity"):
+        def counted(*args, _name=name, _real=getattr(correlations, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(correlations, name, counted)
+    _, ss = setup_point(1e13)
+    cauchy_schwarz(ss)
+    assert counts == {"_collapse": 2, "_mean_intensity": 2}
+    counts.clear()
+    g2_zero(1, 2, ss)
+    assert counts == {"_collapse": 1, "_mean_intensity": 2}
+
+
+@pytest.mark.parametrize("i, j, error, message", [
+    (2, 3, ChannelDarkError, "channel 2 is dark"),
+    (3, 2, ValueError, "channel must be 1 or 2, got 3"),
+    (1, 3, ValueError, "channel must be 1 or 2, got 3"),
+])
+def test_channel_errors_follow_the_channel_order(i, j, error, message):
+    """Channel i is checked before channel j, whether it is bad or dark."""
+    _, ss = setup_point(0.0)  # undriven: channel 2 is dark
+    with pytest.raises(error, match=message):
+        g2_zero(i, j, ss)
 
 
 def test_g2_tau_starts_at_the_zero_delay_value():

@@ -253,6 +253,21 @@ def test_preset_steady_state_anchors():
         assert ss.p_excited == pytest.approx(p2, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma0", [1e200, 1e307])
+def test_steady_state_survives_a_generator_past_the_norm_squares_range(gamma0):
+    """Past max|G| ~ 1e170 the squares in an unscaled residual norm overflow
+    and an accurate state was refused (residual inf); the state does not
+    depend on the rate scale, so it matches the one at gamma0 = 1e140."""
+    def solve(g0):
+        params = dataclasses.replace(with_rabi(preset("gamma-globulin"), 1e13), gamma0=g0)
+        return steady_state(build_adjoint_generator(from_physical(params)))
+
+    ref, ss = solve(1e140), solve(gamma0)
+    assert ss.p_excited == pytest.approx(ref.p_excited, rel=1e-15)
+    assert ss.s_z == pytest.approx(ref.s_z, rel=1e-15)
+    assert abs(ss.s_plus - ref.s_plus) <= 1e-15 * abs(ref.s_plus)
+
+
 def test_correction_channels_shift_p2_at_first_order_only():
     """The cross channel enters the population balance at first order in
     c_cross = Omega/(2 omegaL), so the full model sits within c_cross of the
@@ -749,6 +764,12 @@ def test_bloch_state_validation():
         BlochState(np.diag([-0.2, 1.2]))
     with pytest.raises(PhysicalityError, match="outside"):
         BlochState(np.full((2, 2), np.nan))
+
+
+def test_bloch_state_rejects_an_imaginary_diagonal():
+    """Unit trace and no coherence, but rho != rho^dag on the diagonal."""
+    with pytest.raises(PhysicalityError, match="conjugate"):
+        BlochState(np.array([[0.5 + 0.1j, 0], [0, 0.5 - 0.1j]]))
 
 
 def test_bloch_ball_is_relative_to_the_trace():
