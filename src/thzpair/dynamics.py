@@ -150,17 +150,22 @@ class AdjointGenerator:
 
     The identity observable is conserved, so column 0 is zero and the
     trace row of the dual (the transpose) vanishes.  The traceless 3x3 block
-    is the real Bloch system that steady_state solves; propagate_dual
-    exponentiates the whole matrix.
+    is the real Bloch system that steady_state solves; its affine term is
+    ground_image, the traceless coefficients of the ground projector's image
+    L(|1><1|).  propagate_dual exponentiates the whole matrix.
     """
 
     matrix: np.ndarray
+    ground_image: np.ndarray
     model: EffectiveModel
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name in ("matrix", "ground_image"):
+            a = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(a).all():
+                raise np.linalg.LinAlgError("the generator overflows double precision")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @cached_property
     def _real_flow(self) -> tuple:
@@ -221,9 +226,12 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     ## coherent part: effective detuning plus the semiclassical drive
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     weights = _weights(model)
-    images = np.array([_adjoint_image(q, h0, weights) for q in HS_BASIS])
-    ## image q is column q; Hermitian images have real coefficients
-    return AdjointGenerator(matrix=hs_decompose(images).real, model=model)
+    with np.errstate(over="ignore", invalid="ignore"):  # AdjointGenerator refuses inf and NaN
+        images = np.array([_adjoint_image(q, h0, weights) for q in HS_BASIS])
+        matrix = hs_decompose(images).real
+    ## image q is column q; Hermitian images have real coefficients.  Entry i
+    ## of L(|1><1|) is Tr(e_i L(|1><1|)) = <1|L^adj(e_i)|1>.
+    return AdjointGenerator(matrix=matrix, ground_image=images[1:, 0, 0].real, model=model)
 
 
 def dual_generator(g: AdjointGenerator) -> np.ndarray:
@@ -235,38 +243,20 @@ def dual_generator(g: AdjointGenerator) -> np.ndarray:
     return g.matrix.T
 
 
-## Traceless HS coefficients of the ground projector's image L(|1><1|) under
-## the unit terms (unit delta_eff, unit Omega, each unit-weight channel), one
-## row each, so that L(|1><1|) = (delta_eff, omega_rabi, *_weights(model)) @
-## _GROUND_RHS.  Entry (k, i) is Tr(e_i L_k(|1><1|)) = <1|L_k^adj(e_i)|1>, read
-## off the generator's own adjoint images.  Each Bloch component of L(|1><1|)
-## comes from one term alone (the drive gives sigma_y, cross channel 2 sigma_x,
-## the pump sigma_z), so the dot product rounds exactly as the tests' L(|1><1|).
-_UNIT_TERMS = ((SZ, ()), (0.5 * (SP + SM), ()), *((0.0 * SZ, w) for w in np.eye(len(_CHANNELS))))
-_GROUND_RHS = np.array([_adjoint_image(HS_BASIS[1:], h0, w)[:, 0, 0].real
-                        for h0, w in _UNIT_TERMS])
-_GROUND_RHS.setflags(write=False)
-
-_GROUND_COEFFS = hs_decompose(PROJ_GROUND).real
-
-
 def steady_state(g: AdjointGenerator) -> BlochState:
     """Unique fixed point of the dual flow with unit trace.
 
     The trace component is conserved exactly (first dual row is zero), so
     the problem reduces to a 3x3 solve for the traceless components.
     """
-    model = g.model
-    weights = _weights(model)
-    if max(abs(w) for w in weights) == 0.0:
+    if max(abs(w) for w in _weights(g.model)) == 0.0:
         raise NoRelaxationError("all dissipative channel weights are zero")
-    dual = dual_generator(g)
-    m = dual[1:, 1:]
-    ## Solve for the deviation from the ground state, coefficients
-    ## (1/sqrt2, 0, 0, -1/sqrt2), not for the state itself: a weakly driven
-    ## steady state sits within ~1e-12 of ground, and subtracting two O(1)
-    ## coefficients afterwards would erase the excited population.
-    br = -(np.array([model.delta_eff, model.omega_rabi, *weights]) @ _GROUND_RHS)
+    m = dual_generator(g)[1:, 1:]
+    ## Solve m y = -L(|1><1|) for the deviation y from the ground state, not
+    ## for the state itself: a weakly driven steady state sits within ~1e-12
+    ## of ground, and subtracting two O(1) coefficients afterwards would erase
+    ## the excited population.
+    br = -g.ground_image
 
     ## row equilibration: entries span many orders of magnitude, which is
     ## physical (pump weights ~1e-4/s against detunings ~1e13/s)
@@ -283,9 +273,8 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     xr = np.linalg.solve(aa, bb)
     xr = xr + np.linalg.solve(aa, bb - aa @ xr)  # one step of iterative refinement
 
-    coeffs = np.array([0.0, *xr]) + _GROUND_COEFFS
     scale = float(np.abs(g.matrix).max())
-    residual = np.linalg.norm(dual @ coeffs / scale)  # relative: unscaled squares overflow
+    residual = np.linalg.norm((m @ xr - br) / scale)  # relative: unscaled squares overflow
     if residual > 1e-10:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual * scale:.3g} exceeds {1e-10 * scale:.3g}"

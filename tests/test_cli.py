@@ -407,19 +407,19 @@ OVERFLOW_CFG = ("omega0 = 1e15\nomegaL = 1.00001e15\ndipole_ratio = 1\ngamma0 = 
 
 def test_generator_overflow_is_a_numerical_failure(tmp_path, capsys):
     """Every rate is finite, but the generator overflows double precision and
-    the SVD does not converge: a LinAlgError, which steady and correlate
+    refuses where it is built: a LinAlgError, which steady and correlate
     report as exit 2 with no CSV, and which a sweep writes as a failed row."""
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
     out = tmp_path / "x.csv"
     for argv in (["steady"], ["correlate", "--output", str(out)]):
-        with pytest.warns((RuntimeWarning, model.PairChannelClosedWarning)):
+        with pytest.warns(model.PairChannelClosedWarning):  # a RuntimeWarning escapes, and fails
             rc = cli.main([*argv, "--config", str(cfg)])
         assert rc == cli.EXIT_DEGENERATE
-        assert "error: SVD did not converge" in capsys.readouterr().err
+        assert "error: the generator overflows double precision" in capsys.readouterr().err
     assert not out.exists()
     cfg.write_text(OVERFLOW_CFG + "points = 3\n", encoding="utf-8")
-    with pytest.warns((RuntimeWarning, model.PairChannelClosedWarning)):
+    with pytest.warns(model.PairChannelClosedWarning):
         rc = cli.main(["sweep", "--config", str(cfg), "--output", str(out)])
     assert rc == cli.EXIT_PARTIAL_SWEEP
     rows = read(out).splitlines()[1:]

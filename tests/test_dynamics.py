@@ -39,7 +39,6 @@ from thzpair.dynamics import (
     NoRelaxationError,
     PhysicalityError,
     _CHANNELS,
-    _GROUND_RHS,
     _weights,
     bloch_ball,
     build_adjoint_generator,
@@ -67,8 +66,8 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
 
     Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
     structural zeros of rho survive exactly (no eps-sized residue from
-    cancelling matrix entries): the reference for the generator and for
-    _GROUND_RHS.  The package states each channel only in the Heisenberg
+    cancelling matrix entries): the reference for the generator and for its
+    ground_image.  The package states each channel only in the Heisenberg
     picture, as its (A, B) pair, -w (A[B,Q] + [Q,C]D) with C = B^dag and
     D = A^dag; this is its trace dual, the one state-picture form of the
     channels.
@@ -192,14 +191,14 @@ def test_dual_generator_matches_the_operator_wise_image(make):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale * np.linalg.norm(x)
 
 
-def test_ground_rhs_table_is_the_operator_wise_image_bit_for_bit():
-    """steady_state's right-hand side, the model's seven scalars dotted with
-    the constant _GROUND_RHS table read off the package's Heisenberg-picture
-    images, is exactly the traceless part of _dual_image's state-picture
-    evaluation, signed zeros included."""
-    assert _GROUND_RHS.shape == (7, 3)
+def test_ground_image_is_the_operator_wise_image_bit_for_bit():
+    """steady_state's affine term, the ground projector's image read off the
+    package's Heisenberg-picture images as <1|L^adj(e_i)|1>, is exactly the
+    traceless part of _dual_image's state-picture evaluation, signed zeros
+    included."""
     for m in seeded_models():
-        got = np.array([m.delta_eff, m.omega_rabi, *_weights(m)]) @ _GROUND_RHS
+        got = build_adjoint_generator(m).ground_image
+        assert got.shape == (3,)
         want = hs_decompose(_dual_image(m, PROJ_GROUND))[1:].real
         assert got.tobytes() == want.tobytes()
 
@@ -208,6 +207,23 @@ def test_generator_matrix_is_read_only():
     g = strong_drive_generator()
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.ground_image[0] = 1.0
+
+
+def test_an_overflowing_generator_is_refused_where_it_is_built():
+    """Every rate is finite, but gamma0 = 1e308 carries the channel terms
+    past double precision: the assembly raises no floating-point warning and
+    the generator itself refuses, naming the overflow."""
+    params = PhysicalParams(omega0=1e15, omegaL=1.00001e15, dipole_ratio=1.0, gamma0=1e308,
+                            rabi=1e13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PairChannelClosedWarning)
+        eff = from_physical(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="overflows double precision"):
+            build_adjoint_generator(eff)
 
 
 # --- steady states --------------------------------------------------------------
@@ -238,6 +254,17 @@ def test_steady_state_matches_closed_form():
         assert abs(ss.p_excited - p2) <= 1e-10 * p2
         assert abs(ss.s_plus - sp) <= 1e-10 * abs(sp)
         assert abs(ss.s_z - sz) <= 1e-12
+
+
+def test_a_solve_that_misses_is_refused_by_its_residual(monkeypatch):
+    """A linear solve that lands 1e-6 off in every coefficient (the offset
+    survives the refinement step, which adds it back) leaves a residual of
+    m y + L(|1><1|) far past 1e-10 max|G|, and the state is refused."""
+    g = strong_drive_generator()
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(DegenerateSteadyStateError, match="steady-state residual"):
+        steady_state(g)
 
 
 def test_preset_steady_state_anchors():
