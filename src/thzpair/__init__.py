@@ -20,7 +20,6 @@ from .dynamics import (
     AdjointGenerator,
     BlochState,
     DegenerateSteadyStateError,
-    NoRelaxationError,
     PhysicalityError,
     build_adjoint_generator,
     dual_generator,
@@ -62,7 +61,6 @@ __all__ = [
     "AdjointGenerator",
     "BlochState",
     "DegenerateSteadyStateError",
-    "NoRelaxationError",
     "PhysicalityError",
     "build_adjoint_generator",
     "dual_generator",

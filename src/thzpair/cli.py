@@ -28,7 +28,6 @@ EXIT_PARTIAL_SWEEP = 3
 # A solve that fails on its numerics or physics rather than on its input.
 _DEGENERATE = (
     dynamics.DegenerateSteadyStateError,
-    dynamics.NoRelaxationError,
     dynamics.PhysicalityError,
     correlations.ChannelDarkError,
     np.linalg.LinAlgError,  # a ValueError, so main must catch it before ValueError

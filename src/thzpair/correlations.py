@@ -125,7 +125,8 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
     """g2 of channel j delayed by tau after a channel-i detection at tau = 0.
 
     Markovian evaluation: the collapsed (un-normalized) state B_i^dag rho B_i
-    evolves under the dual generator; each grid point is independent.  The
+    evolves under the dual generator; each grid point is independent, so the
+    delays may come in any order and the values return in that order.  The
     cross channels are not of Lindblad form, so the evolved operator can
     leave the positive cone; a delay where it does raises PhysicalityError.
     """
@@ -134,8 +135,6 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
         raise ValueError("tau_grid must be finite")
     if any(t < 0 for t in taus):
         raise ValueError("tau_grid must be non-negative")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau_grid must be sorted ascending")
     rho = rho_ss.rho
     den = _mean_intensity(i, rho) * _mean_intensity(j, rho)
     collapsed = _collapse(i, rho)

@@ -42,7 +42,6 @@ __all__ = [
     "AdjointGenerator",
     "BlochState",
     "DegenerateSteadyStateError",
-    "NoRelaxationError",
     "PhysicalityError",
     "bloch_ball",
     "build_adjoint_generator",
@@ -68,11 +67,8 @@ EIGEN_COND_LIMIT = 1e6
 
 class DegenerateSteadyStateError(RuntimeError):
     """The generator has no unique steady state that the flow relaxes to:
-    its nullspace is not one-dimensional, or a mode grows."""
-
-
-class NoRelaxationError(RuntimeError):
-    """All dissipative channel weights vanish; no steady state is selected."""
+    its nullspace is not one-dimensional, a mode grows, or no channel
+    dissipates."""
 
 
 class PhysicalityError(ValueError):
@@ -250,7 +246,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     the problem reduces to a 3x3 solve for the traceless components.
     """
     if max(abs(w) for w in _weights(g.model)) == 0.0:
-        raise NoRelaxationError("all dissipative channel weights are zero")
+        raise DegenerateSteadyStateError("all dissipative channel weights are zero")
     m = dual_generator(g)[1:, 1:]
     ## Solve m y = -L(|1><1|) for the deviation y from the ground state, not
     ## for the state itself: a weakly driven steady state sits within ~1e-12

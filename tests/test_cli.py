@@ -575,6 +575,32 @@ def test_verify_heff_truncation_guard(capsys):
     assert "mode truncation must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, factor, noted", [
+    ("c_pump", 0.0, "pair_creation"),  # target zero, measured not
+    ("c_cross", 1.05, None),  # a plain 5% deviation carries no note
+])
+def test_verify_heff_fails_on_a_misstated_coefficient(monkeypatch, capsys, field, factor,
+                                                      noted):
+    real = cli.model.from_physical
+
+    def misstated(params):
+        eff = real(params)
+        return dataclasses.replace(eff, **{field: getattr(eff, field) * factor})
+
+    monkeypatch.setattr(cli.model, "from_physical", misstated)
+    rc = cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13"])
+    assert rc == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.err == "derivation check FAILED\n"
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 and "derivation check passed" not in captured.out
+    for line in lines:
+        if line.startswith(f"{noted} "):
+            assert line.endswith("  [expected exactly zero]")
+        else:
+            assert "[" not in line
+
+
 # --- configuration errors ----------------------------------------------------------
 
 
@@ -589,6 +615,10 @@ def test_verify_heff_truncation_guard(capsys):
          "invalid float value"),
         (["sweep", "--preset", "gamma-globulin", "--output", "unused.csv",
           "--points", "abc"], "invalid int value"),
+        (["sweep", "--preset", "gamma-globulin", "--points", "2",
+          "--output", "/no/such/dir/s.csv"], "cannot write output file /no/such/dir/s.csv: "),
+        (["correlate", "--preset", "gamma-globulin", "--rabi", "1e13", "--tau-points", "2",
+          "--output", "/no/such/dir/c.csv"], "cannot write output file /no/such/dir/c.csv: "),
     ],
 )
 def test_config_errors_exit_1(argv, fragment, capsys):

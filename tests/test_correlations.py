@@ -219,9 +219,19 @@ def test_g2_tau_grid_validation():
     g, ss = setup_point(1e13)
     with pytest.raises(ValueError, match="non-negative"):
         g2_tau(1, 2, g, ss, [-1e-9, 0.0])
-    with pytest.raises(ValueError, match="sorted"):
-        g2_tau(1, 2, g, ss, [1e-9, 0.5e-9])
     assert g2_tau(1, 2, g, ss, []) == []
+
+
+@pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
+def test_g2_tau_returns_an_unsorted_grid_in_the_callers_order(i, j):
+    """Each delay is propagated on its own, so a permuted grid gives the
+    sorted grid's values, permuted, bit for bit."""
+    g, ss = setup_point(1e13)
+    taus = np.linspace(0.0, 10.0 / g.model.gamma_R, 50)
+    order = np.random.default_rng(7).permutation(taus.size)
+    ref = g2_tau(i, j, g, ss, taus)
+    got = g2_tau(i, j, g, ss, taus[order])
+    assert np.array(got).tobytes() == np.array(ref)[order].tobytes()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
