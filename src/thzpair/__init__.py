@@ -22,7 +22,6 @@ from .dynamics import (
     DegenerateSteadyStateError,
     PhysicalityError,
     build_adjoint_generator,
-    dual_generator,
     excited_state,
     ground_state,
     propagate,
@@ -63,7 +62,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "PhysicalityError",
     "build_adjoint_generator",
-    "dual_generator",
     "excited_state",
     "ground_state",
     "propagate",

@@ -45,7 +45,6 @@ __all__ = [
     "PhysicalityError",
     "bloch_ball",
     "build_adjoint_generator",
-    "dual_generator",
     "steady_state",
     "propagate",
     "propagate_dual",
@@ -85,6 +84,8 @@ class BlochState:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError(f"rho must be 2x2, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise PhysicalityError("rho has a non-finite entry")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         tr = rho[0, 0] + rho[1, 1]
@@ -144,11 +145,14 @@ def excited_state() -> BlochState:
 class AdjointGenerator:
     """Real 4x4 matrix of d<Q>/dt over HS_BASIS, plus the model it came from.
 
-    The identity observable is conserved, so column 0 is zero and the
-    trace row of the dual (the transpose) vanishes.  The traceless 3x3 block
-    is the real Bloch system that steady_state solves; its affine term is
-    ground_image, the traceless coefficients of the ground projector's image
-    L(|1><1|).  propagate_dual exponentiates the whole matrix.
+    HS_BASIS is Hermitian and orthonormal, so Tr(e_i e_j) = delta_ij and the
+    state-picture dual defined by Tr(L(rho) Q) = Tr(rho L^adj(Q)) is the plain
+    transpose: d(rho-coefficients)/dt = matrix.T @ coeffs.  The identity
+    observable is conserved, so column 0 is zero and the trace row of the
+    dual vanishes.  The dual's traceless 3x3 block is the real Bloch system
+    that steady_state solves; its affine term is ground_image, the traceless
+    coefficients of the ground projector's image L(|1><1|).  propagate_dual
+    exponentiates the whole dual.
     """
 
     matrix: np.ndarray
@@ -165,22 +169,21 @@ class AdjointGenerator:
 
     @cached_property
     def _real_flow(self) -> tuple:
-        """(dual, eigen, reach) for propagate_dual, computed on first use.
+        """(eigen, reach) for propagate_dual, computed on first use.
 
-        eigen is the dual generator's eigen-expansion (lambda, V, V^-1), or
-        None when cond(V) exceeds EIGEN_COND_LIMIT.  propagate_dual refuses a
-        t with t * reach > 1, where the propagator leaves float range: there
+        eigen is the dual's eigen-expansion (lambda, V, V^-1), or None when
+        cond(V) exceeds EIGEN_COND_LIMIT.  propagate_dual refuses a t with
+        t * reach > 1, where the propagator leaves float range: there
         ||dual||_1 * t, which bounds every entry of dual*t and every
         |lambda*t|, passes 1e307, or a growing mode (the cross channels are
         not of Lindblad form) passes e^690, which leaves 4 * EIGEN_COND_LIMIT
         of headroom below the float maximum.
         """
-        dual = dual_generator(self)
-        lam, v = np.linalg.eig(dual)
-        reach = float(max(np.linalg.norm(dual, 1) / 1e307, lam.real.max() / 690.0))
+        lam, v = np.linalg.eig(self.matrix.T)
+        reach = float(max(np.linalg.norm(self.matrix.T, 1) / 1e307, lam.real.max() / 690.0))
         if np.linalg.cond(v) > EIGEN_COND_LIMIT:
-            return dual, None, reach
-        return dual, (lam, v, np.linalg.inv(v)), reach
+            return None, reach
+        return (lam, v, np.linalg.inv(v)), reach
 
 
 ## The five dissipative channels as (A, B) operator pairs; for Hermitian Q
@@ -230,15 +233,6 @@ def build_adjoint_generator(model: EffectiveModel) -> AdjointGenerator:
     return AdjointGenerator(matrix=matrix, ground_image=images[1:, 0, 0].real, model=model)
 
 
-def dual_generator(g: AdjointGenerator) -> np.ndarray:
-    """State-evolution generator: d(rho-coefficients)/dt = dual @ coeffs.
-
-    HS_BASIS is Hermitian and orthonormal, so Tr(e_i e_j) = delta_ij and the
-    dual defined by Tr(L(rho) Q) = Tr(rho L^adj(Q)) is the plain transpose.
-    """
-    return g.matrix.T
-
-
 def steady_state(g: AdjointGenerator) -> BlochState:
     """Unique fixed point of the dual flow with unit trace.
 
@@ -247,7 +241,7 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     """
     if max(abs(w) for w in _weights(g.model)) == 0.0:
         raise DegenerateSteadyStateError("all dissipative channel weights are zero")
-    m = dual_generator(g)[1:, 1:]
+    m = g.matrix[1:, 1:].T
     ## Solve m y = -L(|1><1|) for the deviation y from the ground state, not
     ## for the state itself: a weakly driven steady state sits within ~1e-12
     ## of ground, and subtracting two O(1) coefficients afterwards would erase
@@ -321,11 +315,11 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     ## real too and maps Hermitian operators to exactly Hermitian ones, no
     ## matter how large the phase Delta*t grows.  A complex-basis propagator
     ## loses Hermiticity at ~1e-11 by t = 30/gamma_R at the strong-drive preset.
-    dual, eigen, reach = g._real_flow
+    eigen, reach = g._real_flow
     if not t * reach <= 1.0:
         raise ValueError(f"the propagator at t = {t!r} overflows double precision")
     if eigen is None:
-        u = expm(dual * t)
+        u = expm(g.matrix.T * t)
     else:
         lam, v, vinv = eigen
         u = ((v * np.exp(lam * t)) @ vinv).real

@@ -41,7 +41,6 @@ from thzpair.dynamics import (
     _weights,
     bloch_ball,
     build_adjoint_generator,
-    dual_generator,
     excited_state,
     expm,
     ground_state,
@@ -63,13 +62,13 @@ from thzpair.model import (
 def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
     """State-picture image L(rho), evaluated operator-wise.
 
-    Equivalent to reconstructing dual_generator @ hs_decompose(rho), but the
-    structural zeros of rho survive exactly (no eps-sized residue from
-    cancelling matrix entries): the reference for the generator and for its
-    ground_image.  The package states each channel only in the Heisenberg
-    picture, as its (A, B) pair, -w (A[B,Q] + [Q,C]D) with C = B^dag and
-    D = A^dag; this is its trace dual, the one state-picture form of the
-    channels.
+    Equivalent to hs_reconstruct(g.matrix.T @ hs_decompose(rho)) with
+    g = build_adjoint_generator(model), but the structural zeros of rho
+    survive exactly (no eps-sized residue from cancelling matrix entries):
+    the reference for the generator and for its ground_image.  The package
+    states each channel only in the Heisenberg picture, as its (A, B) pair,
+    -w (A[B,Q] + [Q,C]D) with C = B^dag and D = A^dag; this is its trace
+    dual, the one state-picture form of the channels.
     """
     h0 = model.delta_eff * SZ + 0.5 * model.omega_rabi * (SP + SM)
     out = -1j * commutator(h0, rho)
@@ -133,7 +132,7 @@ def test_identity_is_annihilated():
     image = g.matrix @ hs_decompose(ID)
     assert np.max(np.abs(image)) <= 1e-14 * np.max(np.abs(g.matrix))
     # the dual conserves the trace: its trace row is exactly zero
-    assert np.all(dual_generator(g)[0, :] == 0.0)
+    assert np.all(g.matrix.T[0, :] == 0.0)
 
 
 def test_hand_computed_images_without_drive():
@@ -151,7 +150,7 @@ def test_hand_computed_images_without_drive():
 def test_dual_is_the_transpose_under_the_trace_pairing():
     """Tr(L(rho) Q) = Tr(rho Ldag(Q)) for arbitrary matrices rho, Q."""
     g = strong_drive_generator()
-    dual = dual_generator(g)
+    dual = g.matrix.T
     scale = np.max(np.abs(g.matrix))
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -174,13 +173,13 @@ def test_dual_is_the_transpose_under_the_trace_pairing():
     ],
     ids=["gamma-globulin-1e11", "gamma-globulin-1e13", "gan-dot-5e14", "gan-dot-1e15", "rad_only"],
 )
-def test_dual_generator_matches_the_operator_wise_image(make):
+def test_the_transpose_is_the_operator_wise_dual_image(make):
     """The assembled generator, transposed, against L(X) evaluated
     operator-wise by _dual_image: two independent evaluations of the five
     channels, one in the Heisenberg and one in the state picture."""
     g = build_adjoint_generator(make())
     assert g.matrix.dtype == np.float64
-    dual = dual_generator(g)
+    dual = g.matrix.T
     scale = np.max(np.abs(g.matrix))
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -376,7 +375,7 @@ def test_preset_generators_relax_with_margin():
     """Every mode of the seeded drives decays: max Re lambda sits well below
     the growth threshold 1e-12 * max|m| that steady_state applies."""
     for m in seeded_models():
-        block = dual_generator(build_adjoint_generator(m))[1:, 1:]
+        block = build_adjoint_generator(m).matrix.T[1:, 1:]
         assert np.linalg.eigvals(block).real.max() < -1e-10 * np.abs(block).max()
 
 
@@ -459,7 +458,7 @@ def test_propagation_agrees_with_adaptive_integrator():
     """Cross-check the matrix exponential against scipy's LSODA on the dual."""
     m = rad_only(2e8, 1e6, 5e7)
     g = build_adjoint_generator(m)
-    dual = dual_generator(g)
+    dual = g.matrix.T
 
     def rhs(_, y):
         dc = dual @ (y[:4] + 1j * y[4:])
@@ -634,7 +633,7 @@ def count_expm_calls(monkeypatch):
 def mp_propagate(g, op, t):
     """exp(dual t) applied to op at 40 digits, from the float dual generator."""
     with mpmath.workdps(40):
-        dual = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in dual_generator(g)])
+        dual = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in g.matrix.T])
         x0 = mpmath.matrix([mpmath.mpc(complex(c)) for c in hs_decompose(op)])
         y = mpmath.expm(dual * mpmath.mpf(t)) * x0
         return hs_reconstruct([complex(c) for c in y])
@@ -788,8 +787,20 @@ def test_bloch_state_validation():
         BlochState(np.array([[0.5, 0.3], [0.1, 0.5]]))
     with pytest.raises(PhysicalityError, match="outside"):
         BlochState(np.diag([-0.2, 1.2]))
-    with pytest.raises(PhysicalityError, match="outside"):
+    with pytest.raises(PhysicalityError, match="non-finite"):
         BlochState(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "inf-imag"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=str)
+def test_bloch_state_names_a_non_finite_entry(entry, bad):
+    """A NaN or infinite entry is refused as such, before the trace,
+    Hermiticity and positivity tests, and with no floating-point warning."""
+    rho = ground_state().rho.copy()
+    rho[entry] = bad
+    with pytest.raises(PhysicalityError, match="rho has a non-finite entry"):
+        BlochState(rho)
 
 
 def test_bloch_state_rejects_an_imaginary_diagonal():
