@@ -389,16 +389,30 @@ def test_unphysical_solve_exits_2(monkeypatch, capsys):
     assert "Tr rho" in capsys.readouterr().err
 
 
-def test_light_shift_past_rabi_squared_range_reaches_the_solve(tmp_path, capsys):
+def test_light_shift_past_rabi_squared_range_reaches_the_solve(
+        tmp_path, capsys, monkeypatch, reference):
     """rabi^2 overflows here but the light shift 2.5e297 does not, so the
-    input is not refused as an infinite emission frequency (exit 1); the
-    solve itself finds the reduced system singular (exit 2)."""
+    input is not refused as an infinite emission frequency (exit 1), and the
+    solve succeeds (exit 0).  The block is badly scaled but not sensitive:
+    p2, g12 and g21 match the reference, which needs more than 50 digits to
+    resolve this dynamic range (at 50 it calls the system singular)."""
+    text = "omega0 = 1e300\nomegaL = 1e300\nrabi = 1e299\n"
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text("omega0 = 1e300\nomegaL = 1e300\nrabi = 1e299\n", encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     with pytest.warns(model.PairChannelClosedWarning):
         rc = cli.main(["steady", "--config", str(cfg)])
-    assert rc == cli.EXIT_DEGENERATE
-    assert "reduced system is singular" in capsys.readouterr().err
+    assert rc == cli.EXIT_OK
+    assert "p2           = 0.500619567\n" in capsys.readouterr().out
+    params = model.params_from_mapping(model.parse_config(text))
+    with pytest.warns(model.PairChannelClosedWarning):
+        _, _, ss = cli._solve(params)
+    rep = correlations.cauchy_schwarz(ss)
+    monkeypatch.setattr(reference, "DPS", 400)
+    expected = reference.steady_point(reference.Lab.of(params))
+    printed = [reference.mp.nstr(ref, 12) for ref in expected]
+    assert printed == ["0.500619567161", "1.99752479846", "2.00248134336"]
+    for value, ref in zip((ss.p_excited, rep.g12, rep.g21), expected):
+        assert reference.rel_dev(value, ref) <= 1e-13
 
 
 OVERFLOW_CFG = ("omega0 = 1e15\nomegaL = 1.00001e15\ndipole_ratio = 1\ngamma0 = 1e308\n"

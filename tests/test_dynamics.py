@@ -30,7 +30,7 @@ from thzpair.algebra import (
     hs_decompose,
     hs_reconstruct,
 )
-from thzpair.correlations import g2_tau
+from thzpair.correlations import cauchy_schwarz, g2_tau
 from thzpair.dynamics import (
     BLOCH_RADIUS_TOL,
     AdjointGenerator,
@@ -255,14 +255,68 @@ def test_steady_state_matches_closed_form():
 
 
 def test_a_solve_that_misses_is_refused_by_its_residual(monkeypatch):
-    """A linear solve that lands 1e-6 off in every coefficient (the offset
-    survives the refinement step, which adds it back) leaves a residual of
-    m y + L(|1><1|) far past 1e-10 max|G|, and the state is refused."""
+    """A linear solve that lands 1e-6 off in every coefficient leaves a
+    residual of m y + L(|1><1|) far past 1e-10 max|G|, and the state is
+    refused."""
     g = strong_drive_generator()
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
     with pytest.raises(DegenerateSteadyStateError, match="steady-state residual"):
         steady_state(g)
+
+
+@pytest.mark.parametrize("residual, refused", [(3e-11, False), (3e-10, True)],
+                         ids=["inside", "outside"])
+def test_the_residual_gate_sits_at_1e_10(monkeypatch, residual, refused):
+    """No real solve misses by 1e-10 max|G|, so the solve is offset along
+    (1, 1, 1), scaled to leave a relative residual 3x inside or 3x outside
+    the bound: moving it 10x either way fails one of the two."""
+    g = strong_drive_generator()
+    exact = steady_state(g)
+    m, scale = g.matrix[1:, 1:].T, np.abs(g.matrix).max()
+    offset = residual / np.linalg.norm(m @ np.ones(3) / scale)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + offset)
+    if refused:
+        with pytest.raises(DegenerateSteadyStateError, match="steady-state residual"):
+            steady_state(g)
+    else:
+        assert np.abs(steady_state(g).rho - exact.rho).max() <= 1e-9
+
+
+def constructed_generator(block, rho):
+    """AdjointGenerator whose dual's traceless block is `block` and whose
+    fixed point is rho: the affine term is -block @ y for rho's deviation y
+    from the ground state.  The model only supplies non-zero weights."""
+    y = hs_decompose(rho - PROJ_GROUND).real[1:]
+    matrix = np.zeros((4, 4))
+    matrix[1:, 1:] = block.T
+    return AdjointGenerator(matrix, -block @ y, preset_model("gamma-globulin", 1e13)), y
+
+
+@pytest.mark.parametrize("d, message", [
+    (3e-8, None),
+    (3e-9, r"reduced system is singular \(forward-error bound"),
+    (0.0, r"reduced system is singular \(no inverse\)"),
+], ids=["inside", "outside", "no-inverse"])
+def test_the_forward_error_gate_sits_at_1e_8(d, message):
+    """The block -(3 I - (1 - d) J), J all ones, relaxes at rates 3, 3 and
+    3d; its Skeel bound eps || |A^-1| |A| |y| || is about 1.2e-16/d of
+    max|y|, so d = 3e-8 puts it 2.5x inside 1e-8 and d = 3e-9 4x outside,
+    and at d = 0 the block has no inverse.  No input of the model's domain
+    comes near: its largest Skeel factor is about 1e3."""
+    block = -(3.0 * np.eye(3) - (1.0 - d) * np.ones((3, 3)))
+    rho = np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, 0.7]])
+    g, y = constructed_generator(block, rho)
+    if d:
+        inv = np.linalg.inv(block)
+        bound = (np.abs(inv) @ np.abs(block) @ np.abs(y)).max() * 2.0**-52 / np.abs(y).max()
+        assert (1e-9 < bound < 1e-8) if message is None else (1e-8 < bound < 1e-7)
+    if message is None:
+        assert np.abs(steady_state(g).rho - rho).max() <= 1e-8
+    else:
+        with pytest.raises(DegenerateSteadyStateError, match=message):
+            steady_state(g)
 
 
 def test_preset_steady_state_anchors():
@@ -369,6 +423,31 @@ def test_growing_mode_is_not_a_steady_state():
     ## the same drive with the cross channels off relaxes
     calm = dataclasses.replace(g.model, c_cross=0.0)
     assert 0.0 < steady_state(build_adjoint_generator(calm)).p_excited < 0.5
+
+
+@pytest.mark.parametrize("rabi, refused", [(1.20345e12, False), (1.20375e12, True)],
+                         ids=["inside", "outside"])
+def test_the_growth_gate_sits_at_1e_12(reference, rabi, refused):
+    """GROWING's growth turns to decay as its drive falls: near rabi
+    1.2034e12 the complex pair lambda ~ +10 +- 2.9e13i 1/s crosses the axis.
+    At these drives the 50-digit max Re lambda sits 3x inside and 3x
+    outside the gate 1e-12 max|m|; a solved state matches the reference."""
+    params = dataclasses.replace(GROWING, rabi=rabi)
+    g = build_adjoint_generator(from_physical(params))
+    lab = reference.Lab.of(params)
+    with mpmath.workdps(reference.DPS):
+        lam = mpmath.eig(reference.generator(lab), right=False)
+        growth = float(max(mpmath.re(e) for e in lam)) / np.abs(g.matrix[1:, 1:]).max()
+    if refused:
+        assert 1e-12 < growth < 1e-11
+        with pytest.raises(DegenerateSteadyStateError, match="not an attractor"):
+            steady_state(g)
+    else:
+        assert 1e-13 < growth < 1e-12
+        ss = steady_state(g)
+        rep = cauchy_schwarz(ss)
+        for value, ref in zip((ss.p_excited, rep.g12, rep.g21), reference.steady_point(lab)):
+            assert reference.rel_dev(value, ref) <= 1e-13
 
 
 def test_preset_generators_relax_with_margin():
