@@ -144,8 +144,8 @@ def cmd_steady(args) -> int:
     print(f"p2           = {_fmt(ss.p_excited)}")
     print(f"delta_eff    = {_fmt(eff.delta_eff)}  1/s")
     print("channel frequencies (1/s):")
-    print(f"  optical    = {_fmt(eff.omega0 + eff.bs_shift)}")
-    print(f"  laser      = {_fmt(eff.omegaL)}")
+    print(f"  optical    = {_fmt(params.omega0 + eff.bs_shift)}")
+    print(f"  laser      = {_fmt(params.omegaL)}")
     print(f"  pair       = {_fmt(eff.pair_freq)}")
     print("channel rates (1/s):")
     print(f"  gamma_R    = {_fmt(eff.gamma_R)}")
@@ -167,16 +167,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_correlate(args) -> int:
-    params, _ = _resolve(args)
-    eff, gen, ss = _solve(params)
-    # from_physical gives gamma_R >= gamma0 > 0
-    tau_max = 10.0 / eff.gamma_R if args.tau_max is None else args.tau_max
+def _tau_max(tau_max: float) -> float:
     if not 0.0 < tau_max < math.inf:  # also rejects nan
         raise model.ConfigError(f"tau-max must be finite and > 0, got {tau_max}")
+    return tau_max
+
+
+def cmd_correlate(args) -> int:
+    params, _ = _resolve(args)
+    ## the flags are checked before the solve, so a bad one is named whatever the point
+    ## does; the default 10/gamma_R after it, as it is inf where gamma0 < ~1e-307
+    tau_max = None if args.tau_max is None else _tau_max(args.tau_max)
     if args.tau_points < 1:
         raise model.ConfigError("tau-points must be >= 1")
-    taus = np.linspace(0.0, tau_max, args.tau_points)
+    eff, gen, ss = _solve(params)
+    taus = np.linspace(0.0, tau_max or _tau_max(10.0 / eff.gamma_R), args.tau_points)
     g12 = correlations.g2_tau(1, 2, gen, ss, taus)
     g21 = correlations.g2_tau(2, 1, gen, ss, taus)
     _write_text(args.output, _csv("tau,g12,g21", (map(_fmt, row) for row in zip(taus, g12, g21))))

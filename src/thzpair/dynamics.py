@@ -311,6 +311,7 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     Used both for density matrices and for the un-normalized collapsed
     operators of two-time correlators.
     """
+    t = float(t)  # a numpy delay is named as a number
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:

@@ -155,12 +155,10 @@ class EffectiveModel:
 
     bs_shift = rabi^2/(4 omegaL) is the second-order light shift of the
     excited level from the counter-rotating drive; delta_eff is the shifted
-    detuning seen by the emitter; pair_freq is the emission frequency of the
-    low-frequency partner photon.
+    detuning seen by the emitter.  The lab inputs stay on PhysicalParams.
     """
 
     omega_rabi: float
-    g_asym: float
     bs_shift: float
     delta_eff: float
     gamma_R: float
@@ -169,9 +167,12 @@ class EffectiveModel:
     c_cross: float
     c_pump: float
     c_deph: float
-    pair_freq: float
-    omega0: float
-    omegaL: float
+
+    @property
+    def pair_freq(self) -> float:
+        """Emission frequency of the low-frequency partner photon,
+        omegaL - omega0 - bs_shift = -delta_eff (+0.0, not -0.0, at zero)."""
+        return 0.0 - self.delta_eff
 
 
 def rate_at(omega: float, params: PhysicalParams) -> float:
@@ -208,29 +209,21 @@ def from_physical(params: PhysicalParams) -> EffectiveModel:
     omega = params.rabi
     bs_shift = omega * (omega / (4.0 * params.omegaL))  # omega^2 alone overflows past ~1e154
     delta_eff = params.omega0 - params.omegaL + bs_shift
-    pair_freq = 0.0 - delta_eff  # -delta_eff, with +0.0 rather than -0.0 at zero
+    pair_freq = 0.0 - delta_eff  # EffectiveModel.pair_freq
     if pair_freq <= 0.0:
-        warnings.warn(
-            "pair channel closed: pair_freq <= 0",
-            PairChannelClosedWarning,
-            stacklevel=2,
-        )
+        warnings.warn("pair channel closed: pair_freq <= 0", PairChannelClosedWarning,
+                      stacklevel=2)
     c_cross = omega / (2.0 * params.omegaL)
-    c_pump = (3.0 * params.g_asym / (8.0 * params.omegaL)) ** 2
     return EffectiveModel(
         omega_rabi=omega,
-        g_asym=params.g_asym,
         bs_shift=bs_shift,
         delta_eff=delta_eff,
         gamma_R=rate_at(params.omega0 + bs_shift, params),
         gamma_L=rate_at(params.omegaL, params),
         gamma_T=rate_at(pair_freq, params),
         c_cross=c_cross,
-        c_pump=c_pump,
+        c_pump=(3.0 * params.g_asym / (8.0 * params.omegaL)) ** 2,
         c_deph=c_cross * c_cross,
-        pair_freq=pair_freq,
-        omega0=params.omega0,
-        omegaL=params.omegaL,
     )
 
 

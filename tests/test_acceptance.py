@@ -29,10 +29,9 @@ def report(number, name, ok):
 
 def radiative_only(delta, gamma_r, omega):
     return EffectiveModel(
-        omega_rabi=omega, g_asym=0.0, bs_shift=0.0, delta_eff=delta,
+        omega_rabi=omega, bs_shift=0.0, delta_eff=delta,
         gamma_R=gamma_r, gamma_L=0.0, gamma_T=0.0,
         c_cross=0.0, c_pump=0.0, c_deph=0.0,
-        pair_freq=1.0, omega0=1.0, omegaL=2.0,
     )
 
 

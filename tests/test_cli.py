@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,61 @@ def test_sweep_command_writes_the_golden_bytes(name, tag, flags, tmp_path):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--preset", name, "--output", str(out), *flags]) == 0
     assert out.read_bytes() == (GOLDEN / f"sweep_{name}_{tag}.csv").read_bytes()
+
+
+def _numpy_dispatch_targets() -> list:
+    """The SIMD targets numpy dispatches to at run time, as it names them."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return list(_multiarray_umath.__cpu_dispatch__)
+
+
+# Run-time kernel choices that must not move a golden byte.  Each variable
+# acts on one child process; a dispatch name numpy does not know would be an
+# ImportWarning, so the names are read from numpy itself.  OPENBLAS_VERBOSE=2
+# makes OpenBLAS name the core it loaded on stderr.
+KERNEL_SETTINGS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2"},
+    "openblas-nehalem": {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_VERBOSE": "2"},
+    "numpy-dispatch-off": {"NPY_DISABLE_CPU_FEATURES": " ".join(_numpy_dispatch_targets())},
+}
+
+_GOLDEN_CHILD = """\
+import sys
+from thzpair import cli
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:
+    from numpy.core import _multiarray_umath
+print(sorted(name for name in _multiarray_umath.__cpu_dispatch__
+             if _multiarray_umath.__cpu_features__.get(name)))
+for name in ("gamma-globulin", "gan-dot"):
+    for tag, flags in (("default", []), ("linear50", ["--points", "50", "--linear"])):
+        out = f"{sys.argv[1]}/sweep_{name}_{tag}.csv"
+        assert cli.main(["sweep", "--preset", name, "--output", out, *flags]) == 0
+"""
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_golden_bytes_under_other_kernels(setting, tmp_path, child_env):
+    """OpenBLAS picks its kernel and numpy its SIMD loops when they load, so
+    the sweep CSV byte contract is checked in a child process under each
+    setting.  Each setting is shown to have taken: the core OpenBLAS names
+    (where numpy's BLAS is OpenBLAS), or no dispatch target left on."""
+    env = {**child_env, **KERNEL_SETTINGS[setting]}
+    proc = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", _GOLDEN_CHILD,
+                           str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if setting == "numpy-dispatch-off":
+        assert proc.stdout.strip() == "[]"
+    elif "Core:" in proc.stderr:
+        assert f"Core: {env['OPENBLAS_CORETYPE']}" in proc.stderr
+    written = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in written] == sorted(p.name for p in GOLDEN.glob("sweep_*.csv"))
+    for path in written:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
 
 
 def test_sweep_rows_are_slotted_and_hold_python_floats():
@@ -439,6 +495,36 @@ def test_generator_overflow_is_a_numerical_failure(tmp_path, capsys):
     rows = read(out).splitlines()[1:]
     assert len(rows) == 3
     assert all(row.endswith(",nan,nan,nan,nan,nan,nan,false,nan") for row in rows)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tau-points", "0"], "error: tau-points must be >= 1"),
+    (["--tau-max", "nan"], "error: tau-max must be finite and > 0, got nan"),
+], ids=["tau-points", "tau-max"])
+def test_correlate_checks_its_flags_before_the_solve(tmp_path, capsys, flags, message):
+    """A bad flag is named, and exits 1, even where the solve would fail on
+    its own: the flags are checked before from_physical warns or the
+    generator overflows."""
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the solve never starts, so nothing warns
+        rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out), *flags])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_correlate_checks_its_default_horizon(tmp_path, capsys):
+    """gamma0 = 1e-308 solves, but 10/gamma_R overflows to inf: the default
+    horizon is refused by name, with no floating-point warning."""
+    cfg = tmp_path / "faint.cfg"
+    cfg.write_text("preset = gan-dot\ngamma0 = 1e-308\nrabi = 1e13\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert cli.main(["correlate", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
+    assert "error: tau-max must be finite and > 0, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- correlate --------------------------------------------------------------------

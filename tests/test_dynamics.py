@@ -81,10 +81,9 @@ def _dual_image(model: EffectiveModel, rho: np.ndarray) -> np.ndarray:
 def rad_only(delta, gamma_r, omega):
     """Effective model with every correction channel switched off."""
     return EffectiveModel(
-        omega_rabi=omega, g_asym=0.0, bs_shift=0.0, delta_eff=delta,
+        omega_rabi=omega, bs_shift=0.0, delta_eff=delta,
         gamma_R=gamma_r, gamma_L=0.0, gamma_T=0.0,
         c_cross=0.0, c_pump=0.0, c_deph=0.0,
-        pair_freq=1.0, omega0=1.0, omegaL=2.0,
     )
 
 
@@ -277,8 +276,9 @@ def test_the_residual_gate_sits_at_1e_10(monkeypatch, residual, refused):
     offset = residual / np.linalg.norm(m @ np.ones(3) / scale)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + offset)
-    if refused:
-        with pytest.raises(DegenerateSteadyStateError, match="steady-state residual"):
+    if refused:  # the message names the bound in 1/s
+        with pytest.raises(DegenerateSteadyStateError,
+                           match=re.escape(f"exceeds {1e-10 * scale:.3g}")):
             steady_state(g)
     else:
         assert np.abs(steady_state(g).rho - exact.rho).max() <= 1e-9
@@ -388,10 +388,9 @@ def test_gan_dot_inversion_comes_from_the_cross_channels(rabi, p2_full, p2_no_cr
 
 def test_no_relaxation_raises():
     m = EffectiveModel(
-        omega_rabi=1e12, g_asym=0.0, bs_shift=0.0, delta_eff=1e12,
+        omega_rabi=1e12, bs_shift=0.0, delta_eff=1e12,
         gamma_R=0.0, gamma_L=0.0, gamma_T=0.0,
         c_cross=1e-4, c_pump=1e-8, c_deph=1e-8,
-        pair_freq=1.0, omega0=1.0, omegaL=2.0,
     )
     with pytest.raises(DegenerateSteadyStateError, match="weights are zero"):
         steady_state(build_adjoint_generator(m))
@@ -400,10 +399,9 @@ def test_no_relaxation_raises():
 def test_pure_dephasing_steady_state_is_degenerate():
     """Dephasing alone never moves <S_z>: every diagonal state is stationary."""
     m = EffectiveModel(
-        omega_rabi=0.0, g_asym=0.0, bs_shift=0.0, delta_eff=0.0,
+        omega_rabi=0.0, bs_shift=0.0, delta_eff=0.0,
         gamma_R=0.0, gamma_L=1e6, gamma_T=0.0,
         c_cross=0.0, c_pump=0.0, c_deph=1e-6,
-        pair_freq=1.0, omega0=1.0, omegaL=2.0,
     )
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(build_adjoint_generator(m))
@@ -511,11 +509,10 @@ def test_semigroup_property():
     ex = excited_state()
     for _ in range(20):
         m = EffectiveModel(
-            omega_rabi=5e10, g_asym=0.0, bs_shift=0.0,
+            omega_rabi=5e10, bs_shift=0.0,
             delta_eff=float(rng.uniform(-1e11, 1e11)),
             gamma_R=1e9, gamma_L=8e8, gamma_T=1e5,
             c_cross=5e-3, c_pump=1e-4, c_deph=2.5e-5,
-            pair_freq=1.0, omega0=1.0, omegaL=2.0,
         )
         g = build_adjoint_generator(m)
         t1, t2 = rng.uniform(0, 2.5e-9, 2)
@@ -785,6 +782,55 @@ def test_overflowing_time_rejected_on_the_eigen_path(monkeypatch):
     assert calls == []
 
 
+def near_exceptional_generator(eps):
+    """Radiative-only generator at delta = 0 and Omega = (gamma_R/2)(1 + eps):
+    cond(V) grows like 1/sqrt(eps) towards the exceptional point at eps = 0."""
+    gamma = 1e7
+    return build_adjoint_generator(rad_only(0.0, gamma, 0.5 * gamma * (1.0 + eps)))
+
+
+@pytest.mark.parametrize("eps, cond_band, expm_calls", [
+    (4e-11, (1e5, 1e6), 0),
+    (4e-13, (1e6, 1e7), 1),
+], ids=["inside", "outside"])
+def test_the_eigen_switch_sits_at_cond_1e6(monkeypatch, eps, cond_band, expm_calls):
+    """cond(V) reads 3.1e5 and 3.1e6 on these two generators, 3x inside and
+    3x outside EIGEN_COND_LIMIT: the first propagates by its eigen-expansion,
+    the second by expm, and both match scipy's expm."""
+    g = near_exceptional_generator(eps)
+    lo, hi = cond_band
+    assert lo < np.linalg.cond(np.linalg.eig(g.matrix.T)[1]) < hi
+    calls = count_expm_calls(monkeypatch)
+    rho, t = excited_state().rho, 3e-7
+    out = propagate_dual(g, rho, t)
+    assert len(calls) == expm_calls
+    ref = hs_reconstruct(scipy_expm(g.matrix.T * t) @ hs_decompose(rho))
+    assert np.abs(out - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("eps", [4e-11, 4e-13], ids=["eigen", "expm"])
+def test_the_norm_reach_sits_at_1e307(eps):
+    """Both paths propagate at ||dual||_1 t = 3e306 to a finite operator, and
+    refuse ||dual||_1 t = 3e307 by name: 3x inside and 3x outside the limit."""
+    g = near_exceptional_generator(eps)
+    norm = np.linalg.norm(g.matrix.T, 1)
+    rho = excited_state().rho
+    assert np.isfinite(propagate_dual(g, rho, 3e306 / norm)).all()
+    with pytest.raises(ValueError, match="overflows double precision"):
+        propagate_dual(g, rho, 3e307 / norm)
+
+
+def test_a_numpy_delay_is_named_as_a_number():
+    """np.float64(1e300) is refused as t = 1e+300, and a finite numpy delay
+    propagates bit for bit as its float."""
+    g = strong_drive_generator()
+    with pytest.raises(ValueError, match=re.escape("t = 1e+300 overflows")):
+        propagate(g, excited_state(), np.float64(1e300))
+    t = 3.0 / g.model.gamma_R
+    rho = excited_state().rho
+    assert propagate_dual(g, rho, np.float64(t)).tobytes() == propagate_dual(g, rho, t).tobytes()
+
+
 def test_overflowing_time_rejected_on_the_expm_path(monkeypatch):
     """At the exceptional point dual*t overflows at t = 1e300 and is refused
     before expm runs; t = 1e290 still exponentiates to a finite operator."""
@@ -899,6 +945,46 @@ def test_bloch_ball_is_relative_to_the_trace():
             assert tr == pytest.approx(scale)
         assert not bloch_ball(-rho)[0]
     assert not bloch_ball(np.full((2, 2), np.nan))[0]
+
+
+@pytest.mark.parametrize("excess, refused", [(1.5e-13, False), (1.5e-12, True)],
+                         ids=["inside", "outside"])
+def test_the_trace_gate_sits_at_1e_12(excess, refused):
+    """Tr rho = 1 + 3e-13 passes and 1 + 3e-12 is refused: 3x inside and 3x
+    outside TRACE_TOL."""
+    rho = np.diag([0.5 + excess, 0.5 + excess])
+    if refused:
+        with pytest.raises(PhysicalityError, match="Tr rho"):
+            BlochState(rho)
+    else:
+        BlochState(rho)
+
+
+@pytest.mark.parametrize("skew, refused", [(3e-13, False), (3e-12, True)],
+                         ids=["inside", "outside"])
+def test_the_hermiticity_gate_sits_at_1e_12(skew, refused):
+    """An off-diagonal pair that differs by 3e-13 passes and by 3e-12 is
+    refused: 3x inside and 3x outside CONJ_TOL."""
+    rho = np.array([[0.5, 0.1 + skew], [0.1, 0.5]])
+    if refused:
+        with pytest.raises(PhysicalityError, match="conjugate"):
+            BlochState(rho)
+    else:
+        BlochState(rho)
+
+
+@pytest.mark.parametrize("excess, refused", [(3e-10, False), (3e-9, True)],
+                         ids=["inside", "outside"])
+def test_the_bloch_radius_gate_sits_at_1e_9(excess, refused):
+    """A unit-trace rho with r^2 = 1/4 + 3e-10 passes and 1/4 + 3e-9 is
+    refused: 3x inside and 3x outside BLOCH_RADIUS_TOL."""
+    c = math.sqrt(0.25 + excess)
+    rho = np.array([[0.5, c], [c, 0.5]])
+    if refused:
+        with pytest.raises(PhysicalityError, match="not positive"):
+            BlochState(rho)
+    else:
+        BlochState(rho)
 
 
 def test_bloch_state_rejects_negative_eigenvalue():

@@ -152,7 +152,7 @@ def test_verify_derivation_matches_closed_forms():
     bs = next(c for c in report.checks if c.name == "bloch_siegert")
     assert bs.target == pytest.approx(model.bs_shift, rel=1e-14)
     pair = next(c for c in report.checks if c.name == "pair_creation")
-    assert pair.target == pytest.approx(-1j * 3 * model.g_asym * 1e9 / (8 * model.omegaL))
+    assert pair.target == pytest.approx(-1j * 3 * params.g_asym * 1e9 / (8 * params.omegaL))
 
 
 @pytest.mark.parametrize("field, check", [

@@ -1,5 +1,6 @@
 """Parameter reduction: rates, effective-model coefficients, config parsing."""
 
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -145,9 +146,10 @@ def test_reduction_against_high_precision_arithmetic():
 
 
 def test_no_drive_limit():
-    m = from_physical(PhysicalParams(omega0=5e15, omegaL=5.01e15, dipole_ratio=100))
+    p = PhysicalParams(omega0=5e15, omegaL=5.01e15, dipole_ratio=100)
+    m = from_physical(p)
     assert m.omega_rabi == 0.0
-    assert m.g_asym == 0.0
+    assert p.g_asym == 0.0
     assert m.bs_shift == 0.0
     assert m.c_cross == 0.0
     assert m.c_pump == 0.0
@@ -166,11 +168,11 @@ def test_field_doubling_scales_exactly():
     r1 = rabi_from_field(e0, p12)
     r2 = rabi_from_field(2 * e0, p12)
     assert r2 == 2 * r1
-    base = preset("gamma-globulin")
-    m1 = from_physical(with_rabi(base, r1))
-    m2 = from_physical(with_rabi(base, r2))
+    p1 = with_rabi(preset("gamma-globulin"), r1)
+    p2 = with_rabi(preset("gamma-globulin"), r2)
+    m1, m2 = from_physical(p1), from_physical(p2)
     assert m2.omega_rabi == 2 * m1.omega_rabi
-    assert m2.g_asym == 2 * m1.g_asym
+    assert p2.g_asym == 2 * p1.g_asym
     assert m2.c_pump == 4 * m1.c_pump
     assert m2.c_deph == 4 * m1.c_deph
 
@@ -180,8 +182,9 @@ def test_frequency_bookkeeping_identity():
     base = preset("gamma-globulin")
     for _ in range(100):
         # stay below the large-drive warning threshold (G/omegaL = 0.25)
-        m = from_physical(with_rabi(base, float(rng.uniform(0, 1.2e13))))
-        assert abs(m.pair_freq + m.bs_shift + m.omega0 - m.omegaL) <= 1e-15 * m.omegaL
+        p = with_rabi(base, float(rng.uniform(0, 1.2e13)))
+        m = from_physical(p)
+        assert abs(m.pair_freq + m.bs_shift + p.omega0 - p.omegaL) <= 1e-15 * p.omegaL
 
 
 def test_pair_frequency_is_the_negated_effective_detuning_bit_for_bit():
@@ -203,6 +206,25 @@ def test_pair_frequency_is_the_negated_effective_detuning_bit_for_bit():
     with pytest.warns(PairChannelClosedWarning):
         m = from_physical(PhysicalParams(omega0=5e15, omegaL=5e15))
     assert bits(m.pair_freq) == bits(0.0)
+
+
+def test_effective_model_holds_the_rotating_frame_coefficients_only():
+    """The lab inputs stay on PhysicalParams, and pair_freq is read off
+    delta_eff: no model can carry a pair frequency that contradicts its
+    detuning, and replacing delta_eff moves pair_freq with it."""
+    assert [f.name for f in dataclasses.fields(EffectiveModel)] == [
+        "omega_rabi", "bs_shift", "delta_eff", "gamma_R", "gamma_L", "gamma_T",
+        "c_cross", "c_pump", "c_deph",
+    ]
+    m = strong_drive_model()
+    with pytest.raises(TypeError):
+        dataclasses.replace(m, pair_freq=1.0)
+    with pytest.raises(TypeError):
+        EffectiveModel(**dataclasses.asdict(m), pair_freq=1.0)
+    # +0.0 where the levels meet, whichever sign the zero detuning carries
+    for delta, pair in ((-1e12, 1e12), (3.5e13, -3.5e13), (0.0, 0.0), (-0.0, 0.0)):
+        moved = dataclasses.replace(m, delta_eff=delta)
+        assert np.float64(moved.pair_freq).tobytes() == np.float64(pair).tobytes()
 
 
 def test_closed_pair_channel_warns_and_zeroes_gamma_T():
