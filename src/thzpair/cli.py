@@ -63,7 +63,7 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
         nan = float("nan")
         return SweepRow(omega, nan, nan, nan, nan, nan, nan, False, nan, failed=True)
     return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
-                    rep.violated, float(eff.pair_freq))
+                    rep.violated, eff.pair_freq)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
@@ -167,21 +167,19 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _tau_max(tau_max: float) -> float:
-    if not 0.0 < tau_max < math.inf:  # also rejects nan
-        raise model.ConfigError(f"tau-max must be finite and > 0, got {tau_max}")
-    return tau_max
-
-
 def cmd_correlate(args) -> int:
     params, _ = _resolve(args)
-    ## the flags are checked before the solve, so a bad one is named whatever the point
-    ## does; the default 10/gamma_R after it, as it is inf where gamma0 < ~1e-307
-    tau_max = None if args.tau_max is None else _tau_max(args.tau_max)
+    ## the flags are checked before the solve, so a bad one is named whatever the point does
+    if args.tau_max is not None and not 0.0 < args.tau_max < math.inf:  # also rejects nan
+        raise model.ConfigError(f"tau-max must be finite and > 0, got {args.tau_max}")
     if args.tau_points < 1:
         raise model.ConfigError("tau-points must be >= 1")
     eff, gen, ss = _solve(params)
-    taus = np.linspace(0.0, tau_max or _tau_max(10.0 / eff.gamma_R), args.tau_points)
+    tau_max = args.tau_max or 10.0 / eff.gamma_R
+    if tau_max == math.inf:  # the default, where gamma_R < ~1e-307
+        raise model.ConfigError(f"the default tau-max 10/gamma_R overflows double precision "
+                                f"at gamma_R = {eff.gamma_R:.3g} 1/s")
+    taus = np.linspace(0.0, tau_max, args.tau_points)
     g12 = correlations.g2_tau(1, 2, gen, ss, taus)
     g21 = correlations.g2_tau(2, 1, gen, ss, taus)
     _write_text(args.output, _csv("tau,g12,g21", (map(_fmt, row) for row in zip(taus, g12, g21))))
@@ -267,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument(
-        "--mode-truncation", type=int, default=3, help="Fock-space cutoff N (>= 2)"
+        "--mode-truncation", type=int, default=3, help="Fock-space cutoff N (2 to 64)"
     )
     p.set_defaults(func=cmd_verify_heff)
     return parser

@@ -17,13 +17,12 @@ At tau = 0 the numerator is <B_i B_j B_j^dag B_i^dag>, the zero-delay g_ij(0).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import SM, SP, dagger
-from .dynamics import AdjointGenerator, BlochState, PhysicalityError, bloch_ball, propagate_dual
+from .dynamics import AdjointGenerator, BlochState, propagate_dual, require_positive
 
 __all__ = [
     "CHANNEL_SOURCES",
@@ -136,11 +135,6 @@ def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) ->
     out = []
     for tau in map(float, tau_grid):  # propagate_dual refuses a bad delay
         evolved = propagate_dual(g, collapsed, tau)
-        inside, radius2, tr = bloch_ball(evolved)
-        if not inside:
-            raise PhysicalityError(
-                f"collapsed state at tau = {tau!r} s is not positive: "
-                f"lambda_min/Tr = {0.5 - math.sqrt(radius2) / tr:.3g}"
-            )
+        require_positive(evolved, "collapsed state at tau = %r s", tau)
         out.append(_intensity(j, evolved) / den)
     return out

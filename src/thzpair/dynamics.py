@@ -43,8 +43,8 @@ __all__ = [
     "BlochState",
     "DegenerateSteadyStateError",
     "PhysicalityError",
-    "bloch_ball",
     "build_adjoint_generator",
+    "require_positive",
     "steady_state",
     "propagate",
     "propagate_dual",
@@ -56,7 +56,7 @@ TRACE_TOL = 1e-12
 CONJ_TOL = 1e-12
 ## |<S+>|^2 + <S_z>^2 = r^2 with lambda_min(rho) = 1/2 - r, so this bounds
 ## how far below zero the smallest eigenvalue of rho may round (about -1e-9);
-## bloch_ball scales it by (Tr m)^2 for an operator m of any trace
+## require_positive scales it by (Tr m)^2 for an operator m of any trace
 BLOCH_RADIUS_TOL = 1e-9
 ## The eigen-expansion V diag(e^{lambda t}) V^-1 loses about eps*cond(V)
 ## relative (2e-10 at this bound); a generator whose eigenvectors are worse
@@ -93,13 +93,8 @@ class BlochState:
             raise PhysicalityError(f"Tr rho = {tr:.15g} differs from 1 beyond {TRACE_TOL}")
         if np.abs(rho - rho.conj().T).max() > CONJ_TOL:
             raise PhysicalityError("rho differs from its conjugate transpose (not Hermitian)")
-        ## the Bloch vector must lie in the ball of radius 1/2 (rho >= 0); this
-        ## bounds <S_z> to [-1/2, 1/2] too
-        inside, radius2, _ = bloch_ball(rho)
-        if not inside:
-            raise PhysicalityError(
-                f"|<S+>|^2 + <S_z>^2 = {radius2:.15g} outside [0, 1/4] (rho not positive)"
-            )
+        ## rho >= 0, which bounds <S_z> to [-1/2, 1/2] too
+        require_positive(rho, "rho")
 
     ## Expectation values read off rho's entries: Tr(rho Q) for Q = S+, S-,
     ## S_z and |2><2| picks out one entry or a diagonal difference, so these
@@ -121,16 +116,20 @@ class BlochState:
         return float(self.rho[1, 1].real)
 
 
-def bloch_ball(m: np.ndarray) -> tuple:
-    """(inside, r^2, Tr m) for a 2x2 Hermitian m with eigenvalues Tr m/2 +- r.
+def require_positive(m: np.ndarray, what: str, *args) -> None:
+    """Raise PhysicalityError, naming ``what % args``, unless the 2x2
+    Hermitian m, of any trace, is positive.
 
-    r^2 = |m01|^2 + ((m11 - m00)/2)^2, and m >= 0 iff r <= Tr m/2.  inside
-    lets r^2 pass (Tr m/2)^2 by BLOCH_RADIUS_TOL (Tr m)^2; a NaN makes it False.
+    m has eigenvalues Tr m/2 +- r with r^2 = |m01|^2 + ((m11 - m00)/2)^2, so
+    m >= 0 iff r <= Tr m/2.  r^2 may pass (Tr m/2)^2 by BLOCH_RADIUS_TOL
+    (Tr m)^2; a NaN is refused.  The name is formatted only to raise.
     """
     m00, m01, _, m11 = m.ravel().tolist()
     tr = m00.real + m11.real
     radius2 = abs(m01) ** 2 + (-0.5 * m00.real + 0.5 * m11.real) ** 2
-    return tr >= 0.0 and radius2 <= (0.25 + BLOCH_RADIUS_TOL) * tr * tr, radius2, tr
+    if not (tr >= 0.0 and radius2 <= (0.25 + BLOCH_RADIUS_TOL) * tr * tr):
+        ratio = 0.5 - math.sqrt(radius2) / tr if tr else -math.inf  # traceless: -r/0
+        raise PhysicalityError(f"{what % args} is not positive: lambda_min/Tr = {ratio:.3g}")
 
 
 def ground_state() -> BlochState:

@@ -46,6 +46,9 @@ __all__ = [
 
 
 _COUPLING = 1e9  # atom-field coupling g (1/s) of verify_derivation's mode
+## _ops(N) allocates 2N + 3 boolean masks and seven complex operators of
+## (2N + 2)^2 entries: 4 MB at this bound, 8.5 GB at N = 1000
+_MAX_TRUNCATION = 64
 
 
 class _Ops(NamedTuple):
@@ -124,8 +127,8 @@ def build_lab_hamiltonian(
     Kronecker ordering is atom (x) mode.  n_trunc must be >= 2 so that the
     second-order products have room for two excitations.
     """
-    if n_trunc < 2:
-        raise ValueError(f"mode truncation must be >= 2, got {n_trunc}")
+    if not 2 <= n_trunc <= _MAX_TRUNCATION:
+        raise ValueError(f"mode truncation must be >= 2 and <= {_MAX_TRUNCATION}, got {n_trunc}")
     ops = _ops(n_trunc)
     # full (non-rotating-wave) atom-field coupling i g (a^dag - a)(S+ + S-)
     static = mode_freq * ops.number + params.omega0 * ops.sz + 1j * coupling * ops.coupling

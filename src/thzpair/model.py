@@ -15,6 +15,7 @@ parameters to the coefficients of that rotating-frame picture.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -82,8 +83,10 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name, v in vars(self).items():  # the fields, in order
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            ## float first: numbers.Real alone would cost a sweep point about 3 us
+            if type(v) is bool or not isinstance(v, (float, numbers.Real)) or not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, float(v))  # numpy's would carry its precision on
         if self.omega0 <= 0:
             raise ConfigError("omega0 must be > 0")
         if self.omegaL <= 0:
@@ -123,12 +126,14 @@ class SweepSpec:
         ## grid points past the drive's validity domain become failed rows
         for name in ("omega_min", "omega_max"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if type(v) is bool or not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"spacing must be log or linear, got {self.spacing!r}")
-        if not isinstance(self.points, (int, np.integer)):
+        if type(self.points) is bool or not isinstance(self.points, numbers.Integral):
             raise ConfigError(f"points must be an integer, got {self.points!r}")
+        object.__setattr__(self, "points", int(self.points))
         if self.points < 2:
             raise ConfigError("points must be >= 2")
         if self.omega_max <= self.omega_min:
@@ -186,7 +191,7 @@ def rate_at(omega: float, params: PhysicalParams) -> float:
         return 0.0
     ## in Python floats: their cube past float range raises, where numpy's warns
     try:
-        rate = float(params.gamma0) * (float(omega) / float(params.omega0)) ** 3
+        rate = params.gamma0 * (float(omega) / params.omega0) ** 3
     except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):

@@ -307,6 +307,20 @@ def test_sweep_rejects_bad_grid(tmp_path):
                          spacing="linear").grid()[0] == 0.0
 
 
+def test_sweep_spec_holds_python_numbers():
+    """numpy bounds and point counts are held as Python floats and ints; a
+    bool is neither."""
+    spec = cli.SweepSpec(base=preset("gan-dot"), omega_min=np.float32(1e11),
+                         omega_max=np.int64(10**13), points=np.int64(5))
+    assert type(spec.omega_min) is float and spec.omega_min == float(np.float32(1e11))
+    assert type(spec.omega_max) is float and spec.omega_max == 1e13
+    assert type(spec.points) is int and spec.points == 5
+    with pytest.raises(ConfigError, match=r"^points must be an integer, got True$"):
+        cli.SweepSpec(base=preset("gan-dot"), points=True)
+    with pytest.raises(ConfigError, match=r"^omega_max must be finite and >= 0, got True$"):
+        cli.SweepSpec(base=preset("gan-dot"), omega_min=0.0, omega_max=True, spacing="linear")
+
+
 @pytest.mark.parametrize("line", [
     "omega_min = nan",
     "omega_max = inf",
@@ -332,6 +346,15 @@ def test_steady_report(capsys):
     assert "p2           = 0.166666473" in text
     assert "gamma_T    = 0.0239640898" in text
     assert "pump       = 0.000134260426" in text
+
+
+def test_steady_takes_the_default_gamma0(tmp_path, capsys):
+    """A config that names only omega0 and omegaL takes gamma0 = 3e6 1/s:
+    undriven, that is the optical rate gamma_R."""
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("omega0 = 5e15\nomegaL = 5.01e15\n", encoding="utf-8")
+    assert cli.main(["steady", "--config", str(cfg)]) == cli.EXIT_OK
+    assert "  gamma_R    = 3000000" in capsys.readouterr().out.splitlines()
 
 
 def test_steady_flag_overrides_config(tmp_path, capsys):
@@ -518,12 +541,14 @@ def test_correlate_checks_its_flags_before_the_solve(tmp_path, capsys, flags, me
 
 def test_correlate_checks_its_default_horizon(tmp_path, capsys):
     """gamma0 = 1e-308 solves, but 10/gamma_R overflows to inf: the default
-    horizon is refused by name, with no floating-point warning."""
+    horizon is refused by name, with gamma_R and no floating-point warning;
+    the flag the user never gave is not blamed."""
     cfg = tmp_path / "faint.cfg"
     cfg.write_text("preset = gan-dot\ngamma0 = 1e-308\nrabi = 1e13\n", encoding="utf-8")
     out = tmp_path / "x.csv"
     assert cli.main(["correlate", "--config", str(cfg), "--output", str(out)]) == cli.EXIT_CONFIG
-    assert "error: tau-max must be finite and > 0, got inf" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: the default tau-max 10/gamma_R overflows double "
+                                       "precision at gamma_R = 1e-308 1/s\n")
     assert not out.exists()
 
 
@@ -669,10 +694,13 @@ def test_verify_heff_passes_at_zero_drive(name, capsys):
 
 
 def test_verify_heff_truncation_guard(capsys):
-    rc = cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13",
-                   "--mode-truncation", "1"])
-    assert rc == cli.EXIT_CONFIG
-    assert "mode truncation must be >= 2" in capsys.readouterr().err
+    """N = 1 leaves no room for two excitations, and N = 65 is past the bound
+    that keeps the operators small; N = 64 runs and passes."""
+    for n, rc in (("1", cli.EXIT_CONFIG), ("65", cli.EXIT_CONFIG), ("64", cli.EXIT_OK)):
+        assert cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13",
+                         "--mode-truncation", n]) == rc
+        err = capsys.readouterr().err
+        assert (f"mode truncation must be >= 2 and <= 64, got {n}" in err) is (rc != cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("field, factor, noted", [
@@ -699,6 +727,25 @@ def test_verify_heff_fails_on_a_misstated_coefficient(monkeypatch, capsys, field
             assert line.endswith("  [expected exactly zero]")
         else:
             assert "[" not in line
+
+
+@pytest.mark.parametrize("excess, rc", [(3e-9, cli.EXIT_OK), (3e-8, cli.EXIT_DEGENERATE)],
+                         ids=["inside", "outside"])
+def test_the_derivation_gate_sits_at_1e_8(monkeypatch, capsys, excess, rc):
+    """c_cross misstated by 1 + 3e-9 passes and by 1 + 3e-8 fails: 3x inside
+    and 3x outside verify-heff's tolerance.  The check's own deviations are
+    about 4e-16, so the misstatement is what the gate sees."""
+    real = cli.model.from_physical
+
+    def misstated(params):
+        eff = real(params)
+        return dataclasses.replace(eff, c_cross=eff.c_cross * (1.0 + excess))
+
+    monkeypatch.setattr(cli.model, "from_physical", misstated)
+    assert cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13"]) == rc
+    line = capsys.readouterr().out.splitlines()[2]
+    assert line.startswith("mode_displacement ")
+    assert float(line.rsplit(" ", 1)[1]) == pytest.approx(excess, rel=1e-6)
 
 
 # --- configuration errors ----------------------------------------------------------

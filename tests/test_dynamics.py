@@ -39,13 +39,13 @@ from thzpair.dynamics import (
     PhysicalityError,
     _CHANNELS,
     _weights,
-    bloch_ball,
     build_adjoint_generator,
     excited_state,
     expm,
     ground_state,
     propagate,
     propagate_dual,
+    require_positive,
     steady_state,
 )
 from thzpair.model import (
@@ -910,7 +910,7 @@ def test_bloch_state_validation():
         BlochState(np.diag([0.7, 0.7]))
     with pytest.raises(PhysicalityError, match="conjugate"):
         BlochState(np.array([[0.5, 0.3], [0.1, 0.5]]))
-    with pytest.raises(PhysicalityError, match="outside"):
+    with pytest.raises(PhysicalityError, match=r"^rho is not positive: lambda_min/Tr = -0\.2$"):
         BlochState(np.diag([-0.2, 1.2]))
     with pytest.raises(PhysicalityError, match="non-finite"):
         BlochState(np.full((2, 2), np.nan))
@@ -935,16 +935,24 @@ def test_bloch_state_rejects_an_imaginary_diagonal():
 
 
 def test_bloch_ball_is_relative_to_the_trace():
-    """BlochState's positivity test holds for any positive multiple of rho,
-    and a negative multiple or a NaN entry is outside."""
+    """require_positive passes any positive multiple of a state and refuses
+    any positive multiple of a non-state, a negative multiple, a traceless
+    non-zero operator or a NaN entry, naming what it was given."""
     for rho, positive in ((ground_state().rho, True), (0.5 * (ID + SP + SM), True),
                           (np.array([[0.5, 0.6], [0.6, 0.5]]), False)):
         for scale in (1e-100, 1e-12, 3.0, 1e100):
-            inside, radius2, tr = bloch_ball(scale * rho)
-            assert inside is positive
-            assert tr == pytest.approx(scale)
-        assert not bloch_ball(-rho)[0]
-    assert not bloch_ball(np.full((2, 2), np.nan))[0]
+            if positive:
+                require_positive(scale * rho, "rho")
+            else:
+                with pytest.raises(PhysicalityError,
+                                   match=r"^m at 3 is not positive: lambda_min/Tr = -0\.1$"):
+                    require_positive(scale * rho, "m at %r", 3)
+        with pytest.raises(PhysicalityError, match="^rho is not positive"):
+            require_positive(-rho, "rho")
+    with pytest.raises(PhysicalityError, match="lambda_min/Tr = -inf$"):
+        require_positive(SZ, "S_z")
+    with pytest.raises(PhysicalityError, match="lambda_min/Tr = nan$"):
+        require_positive(np.full((2, 2), np.nan), "rho")
 
 
 @pytest.mark.parametrize("excess, refused", [(1.5e-13, False), (1.5e-12, True)],

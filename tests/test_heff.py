@@ -81,8 +81,10 @@ def test_lab_hamiltonian_does_not_share_cached_operators():
 
 def test_lab_hamiltonian_truncation_guard():
     params, model = working_point()
-    with pytest.raises(ValueError, match="mode truncation must be >= 2"):
-        build_lab_hamiltonian(params, 1, model.pair_freq, 1e9)
+    for n in (1, 65):
+        with pytest.raises(ValueError, match=f"mode truncation must be >= 2 and <= 64, got {n}"):
+            build_lab_hamiltonian(params, n, model.pair_freq, 1e9)
+    assert build_lab_hamiltonian(params, 64, model.pair_freq, 1e9)[0].shape == (130, 130)
 
 
 def test_rotated_frame_harmonics():

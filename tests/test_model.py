@@ -273,6 +273,25 @@ def test_invalid_params_rejected(kwargs):
         PhysicalParams(**kwargs)
 
 
+@pytest.mark.parametrize("rabi", [np.int64(5), np.float32(1e13), 5],
+                         ids=["int64", "float32", "int"])
+def test_a_numeric_field_holds_a_python_float(rabi):
+    """A numpy or int drive is held as the Python float of it, so the
+    reduction runs in double precision: under numpy's promotion rules an
+    np.float32 drive would keep from_physical in float32."""
+    p = PhysicalParams(omega0=5e15, omegaL=5.01e15, rabi=rabi)
+    assert type(p.rabi) is float and p.rabi == float(rabi)
+    m = from_physical(p)
+    assert type(m.bs_shift) is float
+    assert m == from_physical(PhysicalParams(omega0=5e15, omegaL=5.01e15, rabi=float(rabi)))
+
+
+@pytest.mark.parametrize("field", ["rabi", "dipole_ratio", "gamma0"])
+def test_a_bool_is_not_a_number(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got True$"):
+        PhysicalParams(omega0=5e15, omegaL=5.01e15, **{field: True})
+
+
 STRONG_DRIVE = dict(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13))
 
 

@@ -8,7 +8,8 @@ constant that can move tenfold unnoticed.
 
     python tools/mutate.py src/thzpair/dynamics.py
 
-The survivors are printed at the end.  The script reports; it gates nothing.
+The survivors are printed at the end, and the exit status is 1 when any
+mutant survived, 0 when none did.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def main(argv=None) -> int:
     print(f"\n{len(survivors)} survivor(s) in {rel}:")
     for label in survivors:
         print(f"  {label}")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
