@@ -8,7 +8,6 @@ states and two-time correlation functions, and cross-checks the effective
 Hamiltonian coefficients on a truncated bosonic mode.
 """
 
-from .algebra import HS_BASIS, ID, SM, SP, SZ, commutator, dagger, expectation
 from .correlations import (
     ChannelDarkError,
     CorrelationReport,
@@ -44,14 +43,6 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HS_BASIS",
-    "ID",
-    "SM",
-    "SP",
-    "SZ",
-    "commutator",
-    "dagger",
-    "expectation",
     "ChannelDarkError",
     "CorrelationReport",
     "cauchy_schwarz",

@@ -172,8 +172,8 @@ def cmd_correlate(args) -> int:
     ## the flags are checked before the solve, so a bad one is named whatever the point does
     if args.tau_max is not None and not 0.0 < args.tau_max < math.inf:  # also rejects nan
         raise model.ConfigError(f"tau-max must be finite and > 0, got {args.tau_max}")
-    if args.tau_points < 1:
-        raise model.ConfigError("tau-points must be >= 1")
+    if not 1 <= args.tau_points <= model.MAX_POINTS:
+        raise model.ConfigError(f"tau-points must be >= 1 and <= {model.MAX_POINTS}")
     eff, gen, ss = _solve(params)
     tau_max = args.tau_max or 10.0 / eff.gamma_R
     if tau_max == math.inf:  # the default, where gamma_R < ~1e-307

@@ -256,8 +256,9 @@ def compare_to_target(derived: dict, model: EffectiveModel) -> HeffReport:
     return HeffReport(tuple(checks))
 
 
-def _averaged(params: PhysicalParams, n_trunc: int, mode_freq: float, coupling: float):
-    lab = build_lab_hamiltonian(params, n_trunc, mode_freq, coupling)
+def _averaged(params: PhysicalParams, n_trunc: int, coupling: float):
+    # w_k a^dag a is diagonal: rotate_frame keeps it in harmonic 0, dropped below; any w_k will do
+    lab = build_lab_hamiltonian(params, n_trunc, params.omegaL, coupling)
     oscillating = rotate_frame(lab, params.omegaL)
     oscillating.pop(0, None)
     return second_order_average(oscillating, params.omegaL)
@@ -268,8 +269,8 @@ def verify_derivation(
 ) -> HeffReport:
     """Run the averaging pipeline and check the three coefficients.
 
-    The mode sits at the pair frequency (at omega0 when the pair channel is
-    closed) and couples with g = _COUPLING.  The pair-creation and
+    The mode couples with g = _COUPLING; its frequency reaches no
+    coefficient (see _averaged).  The pair-creation and
     mode-displacement coefficients are read off the full averaged
     Hamiltonian (their operator patterns are orthogonal to every other
     second-order product).  The level-shift coefficient is read off a
@@ -278,9 +279,8 @@ def verify_derivation(
     -- a Lamb-type term outside the effective model, whose S_z component
     would otherwise pollute the comparison.
     """
-    mode_freq = model.pair_freq if model.pair_freq > 0 else params.omega0
-    full = _averaged(params, n_trunc, mode_freq, _COUPLING)
-    drive_only = _averaged(params, n_trunc, mode_freq, 0.0)
+    full = _averaged(params, n_trunc, _COUPLING)
+    drive_only = _averaged(params, n_trunc, 0.0)
     from_full = compare_to_target(full, model).checks
     from_drive = compare_to_target(drive_only, model).checks
     return HeffReport((from_drive[0], *from_full[1:]))

@@ -42,10 +42,18 @@ __all__ = [
 
 DEBYE = 3.33564e-30  # C*m per Debye
 HBAR = 1.054572e-34  # J*s
+MAX_POINTS = 10**6  # sweep points or delays a run takes: a sweep ~7 min, 0.5 GB of rows
 
 
 class ConfigError(ValueError):
     """Invalid configuration input (file syntax, unknown key, bad value)."""
+
+
+def _finite_real(v) -> bool:
+    try:  # float first: numbers.Real alone would cost a sweep point about 3 us
+        return type(v) is not bool and isinstance(v, (float, numbers.Real)) and math.isfinite(v)
+    except OverflowError:  # an int past float range
+        return False
 
 
 class PairChannelClosedWarning(UserWarning):
@@ -83,8 +91,7 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name, v in vars(self).items():  # the fields, in order
-            ## float first: numbers.Real alone would cost a sweep point about 3 us
-            if type(v) is bool or not isinstance(v, (float, numbers.Real)) or not math.isfinite(v):
+            if not _finite_real(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))  # numpy's would carry its precision on
         if self.omega0 <= 0:
@@ -126,7 +133,7 @@ class SweepSpec:
         ## grid points past the drive's validity domain become failed rows
         for name in ("omega_min", "omega_max"):
             v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0):
+            if not (_finite_real(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.spacing not in ("log", "linear"):
@@ -134,8 +141,8 @@ class SweepSpec:
         if type(self.points) is bool or not isinstance(self.points, numbers.Integral):
             raise ConfigError(f"points must be an integer, got {self.points!r}")
         object.__setattr__(self, "points", int(self.points))
-        if self.points < 2:
-            raise ConfigError("points must be >= 2")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise ConfigError(f"points must be >= 2 and <= {MAX_POINTS}")
         if self.omega_max <= self.omega_min:
             raise ConfigError("omega_max must exceed omega_min")
         if self.spacing == "log" and self.omega_min <= 0:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 
+import thzpair
+from thzpair import algebra
 from thzpair.algebra import (
     HS_BASIS,
     ID,
@@ -20,6 +22,13 @@ from thzpair.algebra import (
 )
 from thzpair.dynamics import _adjoint_image, _weights, build_adjoint_generator
 from thzpair.model import from_physical, preset, with_rabi
+
+
+def test_the_operators_are_imported_from_algebra_only():
+    """The package's top level re-exports none of algebra's numpy objects."""
+    for name in ("HS_BASIS", "ID", "SM", "SP", "SZ", "commutator", "dagger", "expectation"):
+        assert hasattr(algebra, name)
+        assert not hasattr(thzpair, name) and name not in thzpair.__all__
 
 
 def test_su2_relations_exact():

@@ -286,8 +286,9 @@ def test_sweep_rejects_bad_grid(tmp_path):
     assert rc == cli.EXIT_CONFIG
     with pytest.raises(ConfigError, match="points must be >= 2"):
         cli.SweepSpec(base=preset("gamma-globulin"), points=1)
-    with pytest.raises(ConfigError, match="omega_max"):
-        cli.SweepSpec(base=preset("gamma-globulin"), omega_min=1e12, omega_max=1e11)
+    for omega_max in (1e11, 1e12):  # below, and equal to, omega_min
+        with pytest.raises(ConfigError, match="^omega_max must exceed omega_min$"):
+            cli.SweepSpec(base=preset("gamma-globulin"), omega_min=1e12, omega_max=omega_max)
     with pytest.raises(ConfigError, match="spacing"):
         cli.SweepSpec(base=preset("gamma-globulin"), spacing="cubic")
     with pytest.raises(ConfigError, match="omega_min > 0"):
@@ -300,9 +301,12 @@ def test_sweep_rejects_bad_grid(tmp_path):
     ## a config error, as a negative rabi is for PhysicalParams
     for bounds in ({"omega_min": "1e11"}, {"omega_max": None},
                    {"omega_min": -1e12, "spacing": "linear"},
-                   {"omega_min": -2e12, "omega_max": -1e12, "spacing": "linear"}):
+                   {"omega_min": -2e12, "omega_max": -1e12, "spacing": "linear"},
+                   {"omega_max": 10**400}):  # an int past float range
         with pytest.raises(ConfigError, match="must be finite and >= 0"):
             cli.SweepSpec(base=preset("gamma-globulin"), **bounds)
+    largest = sys.float_info.max
+    assert cli.SweepSpec(base=preset("gamma-globulin"), omega_max=largest).omega_max == largest
     assert cli.SweepSpec(base=preset("gamma-globulin"), omega_min=0.0,
                          spacing="linear").grid()[0] == 0.0
 
@@ -319,6 +323,23 @@ def test_sweep_spec_holds_python_numbers():
         cli.SweepSpec(base=preset("gan-dot"), points=True)
     with pytest.raises(ConfigError, match=r"^omega_max must be finite and >= 0, got True$"):
         cli.SweepSpec(base=preset("gan-dot"), omega_min=0.0, omega_max=True, spacing="linear")
+
+
+def test_a_sweep_takes_at_most_a_million_points(tmp_path, capsys):
+    """points is bounded in SweepSpec, so a config file is checked as a flag
+    is, before any grid is built.  The spec at the bound is built, never run."""
+    base = preset("gan-dot")
+    assert cli.SweepSpec(base=base, points=model.MAX_POINTS).points == 10**6
+    for points in (10**6 + 1, 10**400):
+        with pytest.raises(ConfigError, match=r"^points must be >= 2 and <= 1000000$"):
+            cli.SweepSpec(base=base, points=points)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"preset = gan-dot\npoints = {10**400}\n", encoding="utf-8")
+    out = tmp_path / "x.csv"
+    for source in (["--preset", "gan-dot", "--points", str(10**400)], ["--config", str(cfg)]):
+        assert cli.main(["sweep", *source, "--output", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: points must be >= 2 and <= 1000000\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [
@@ -521,13 +542,17 @@ def test_generator_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--tau-points", "0"], "error: tau-points must be >= 1"),
+    (["--tau-points", "0"], "error: tau-points must be >= 1 and <= 1000000"),
+    (["--tau-points", "1000001"], "error: tau-points must be >= 1 and <= 1000000"),
+    (["--tau-points", str(10**400)], "error: tau-points must be >= 1 and <= 1000000"),
     (["--tau-max", "nan"], "error: tau-max must be finite and > 0, got nan"),
-], ids=["tau-points", "tau-max"])
+    (["--tau-max", "0"], "error: tau-max must be finite and > 0, got 0.0"),
+], ids=["tau-points", "tau-points-past-bound", "tau-points-huge", "tau-max", "tau-max-zero"])
 def test_correlate_checks_its_flags_before_the_solve(tmp_path, capsys, flags, message):
     """A bad flag is named, and exits 1, even where the solve would fail on
     its own: the flags are checked before from_physical warns or the
-    generator overflows."""
+    generator overflows, so no delay runs.  A zero horizon is refused, not
+    read as the default."""
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
     out = tmp_path / "x.csv"
@@ -535,7 +560,21 @@ def test_correlate_checks_its_flags_before_the_solve(tmp_path, capsys, flags, me
         warnings.simplefilter("error")  # the solve never starts, so nothing warns
         rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out), *flags])
     assert rc == cli.EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_correlate_takes_a_million_delays(tmp_path, capsys):
+    """--tau-points 1000000 passes the flag check; the solve then fails on
+    its own, so no delay runs."""
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
+    out = tmp_path / "x.csv"
+    with pytest.warns(model.PairChannelClosedWarning):
+        rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out),
+                       "--tau-points", "1000000"])
+    assert rc == cli.EXIT_DEGENERATE
+    assert "error: the generator overflows double precision" in capsys.readouterr().err
     assert not out.exists()
 
 

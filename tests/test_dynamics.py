@@ -955,6 +955,13 @@ def test_bloch_ball_is_relative_to_the_trace():
         require_positive(np.full((2, 2), np.nan), "rho")
 
 
+def test_the_zero_operator_is_positive():
+    """0 >= 0: a zero trace and a zero radius sit on both comparisons'
+    boundaries, and pass."""
+    require_positive(np.zeros((2, 2)), "0")
+    require_positive(np.zeros((2, 2), dtype=complex), "0")
+
+
 @pytest.mark.parametrize("excess, refused", [(1.5e-13, False), (1.5e-12, True)],
                          ids=["inside", "outside"])
 def test_the_trace_gate_sits_at_1e_12(excess, refused):

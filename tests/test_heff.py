@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thzpair import heff
-from thzpair.algebra import SP, SZ, dagger
+from thzpair.algebra import SM, SP, SZ, dagger
 from thzpair.heff import (
     HeffReport,
     build_lab_hamiltonian,
@@ -47,6 +47,29 @@ def test_shape_mismatch_is_rejected():
     _, model = working_point()
     with pytest.raises(ValueError, match="do not match"):
         compare_to_target({0: np.ones((6, 4))}, model)
+
+
+def test_a_bare_atom_rotates_as_a_two_by_two_hamiltonian():
+    """N = 0 is a 2x2 atom space with no mode: the drive splits into its
+    co- and counter-rotating halves, and the static detuning stays put."""
+    w0, wl, rabi = 5.0, 7.0, 0.5
+    drive = 0.5 * rabi * (SP + SM)
+    rot = rotate_frame({-1: drive, 0: w0 * SZ, 1: drive}, wl)
+    assert rot.keys() == {-2, 0, 2}
+    assert np.array_equal(rot[-2], 0.5 * rabi * SM)
+    assert np.array_equal(rot[0], (w0 - wl) * SZ + drive)
+    assert np.array_equal(rot[2], 0.5 * rabi * SP)
+
+
+def test_the_mode_frequency_reaches_no_coefficient():
+    """The mode energy is diagonal, so it stays in the static harmonic, which
+    the average drops: the oscillating part is the same at any mode frequency."""
+    params, model = working_point()
+    at_laser = oscillating(params, 3, params.omegaL, 1e9)
+    for mode_freq in (0.0, model.pair_freq, params.omega0, 1e20):
+        other = oscillating(params, 3, mode_freq, 1e9)
+        assert other.keys() == at_laser.keys()
+        assert all(np.array_equal(other[n], at_laser[n]) for n in other)
 
 
 def test_hermiticity_defect():

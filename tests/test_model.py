@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -290,6 +291,45 @@ def test_a_numeric_field_holds_a_python_float(rabi):
 def test_a_bool_is_not_a_number(field):
     with pytest.raises(ConfigError, match=f"^{field} must be finite, got True$"):
         PhysicalParams(omega0=5e15, omegaL=5.01e15, **{field: True})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega0", 10**400), ("rabi", 10**400), ("gamma0", -10**400),
+], ids=["omega0", "rabi", "gamma0"])
+def test_an_int_past_float_range_is_named(field, value):
+    """A Python int that no float holds is refused as a non-finite value,
+    by name, not with the int-to-float OverflowError; the largest float is
+    finite."""
+    with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value}$"):
+        PhysicalParams(**{"omega0": 5e15, "omegaL": 5.01e15, field: value})
+    largest = sys.float_info.max
+    assert PhysicalParams(omega0=largest, omegaL=largest).omega0 == largest
+
+
+@pytest.mark.parametrize("label, kwargs", [
+    ("rabi", dict(rabi=5.01e15)),
+    ("G", dict(rabi=5.01e15 / 2, dipole_ratio=2.0)),
+])
+def test_a_drive_equal_to_the_laser_frequency_is_refused(label, kwargs):
+    """The hard limit is rabi, G < omegaL: equality is refused too."""
+    with pytest.raises(ConfigError, match=rf"^{label}/omegaL = 1 >= 1: second-order"):
+        PhysicalParams(omega0=5e15, omegaL=5.01e15, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::thzpair.model.PairChannelClosedWarning")
+@pytest.mark.parametrize("dipole_ratio, label", [(0.0, "rabi"), (2.0, "G")])
+def test_the_drive_warning_fires_past_a_quarter_only(dipole_ratio, label):
+    """rabi (or G) = omegaL/4 exactly does not warn; the next float up does,
+    as README has it: the warning fires when the ratio exceeds 0.25."""
+    omegaL = 5e15 + 1e13
+    quarter = omegaL / 4 / (1.0 + dipole_ratio / 2)  # rabi, or rabi with G = 2 rabi
+    for rabi, warns in ((quarter, False), (math.nextafter(quarter, math.inf), True)):
+        p = PhysicalParams(omega0=5e15, omegaL=omegaL, rabi=rabi, dipole_ratio=dipole_ratio)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", PerturbativeDriveWarning)
+            from_physical(p)
+        assert [str(w.message).split("/")[0] for w in seen
+                if w.category is PerturbativeDriveWarning] == ([label] if warns else [])
 
 
 STRONG_DRIVE = dict(omega0=5e15, omegaL=5e15 + 1e13, rabi=0.3 * (5e15 + 1e13))
