@@ -62,7 +62,7 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
     except (model.ConfigError, *_DEGENERATE):
         nan = float("nan")
         return SweepRow(omega, nan, nan, nan, nan, nan, nan, False, nan, failed=True)
-    return SweepRow(omega, ss.s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
+    return SweepRow(omega, ss.solved_s_z, ss.p_excited, rep.g12, rep.g21, rep.cs_lhs, rep.cs_rhs,
                     rep.violated, eff.pair_freq)
 
 
@@ -140,7 +140,7 @@ def cmd_steady(args) -> int:
     params, _ = _resolve(args)
     eff, _, ss = _solve(params)
     print(f"omega_rabi   = {_fmt(eff.omega_rabi)}  1/s")
-    print(f"sz           = {_fmt(ss.s_z)}")
+    print(f"sz           = {_fmt(ss.solved_s_z)}")
     print(f"p2           = {_fmt(ss.p_excited)}")
     print(f"delta_eff    = {_fmt(eff.delta_eff)}  1/s")
     print("channel frequencies (1/s):")
@@ -265,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument(
-        "--mode-truncation", type=int, default=3, help="Fock-space cutoff N (2 to 64)"
+        "--mode-truncation", type=int, default=3,
+        help=f"Fock-space cutoff N (2 to {heff._MAX_TRUNCATION})",
     )
     p.set_defaults(func=cmd_verify_heff)
     return parser

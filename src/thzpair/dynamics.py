@@ -19,7 +19,7 @@ identity observable is a genuine consistency check, not a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -79,6 +79,9 @@ class BlochState:
     """Density matrix of the emitter with its expectation-value view."""
 
     rho: np.ndarray
+    ## <S_z> as steady_state solved it, or None; s_z reads rho's populations,
+    ## which near saturation (|<S_z>| ~ 1e-7) hold it only to ~1e-9 relative
+    solved_s_z: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
@@ -277,7 +280,11 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     if growth > 1e-12 * norms.max():
         raise DegenerateSteadyStateError(
             f"steady state is not an attractor: max Re lambda = {growth:.3g} 1/s")
-    return BlochState(PROJ_GROUND + hs_reconstruct([0.0, *xr]))
+    ## <S_z> = y'_3/sqrt2 from a second solve for the deviation y' from I/2
+    ## (|1><1| = I/2 - e_3/sqrt2), which carries no O(1) rounding
+    y_half = np.linalg.solve(aa, bb - aa[:, 2] / math.sqrt(2.0))
+    return BlochState(PROJ_GROUND + hs_reconstruct([0.0, *xr]),
+                      solved_s_z=float(y_half[2]) / math.sqrt(2.0))
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -156,14 +156,11 @@ def rotate_frame(h: dict, omegaL: float) -> dict:
     return dict(sorted(out.items()))
 
 
-def second_order_average(
-    h_osc: dict, omegaL: float, keep_max_harmonic: int = 1, return_discarded: bool = False
-):
+def second_order_average(h_osc: dict, omegaL: float, keep_max_harmonic: int = 1) -> dict:
     """-i H'' Int[H''] dt with the oscillatory antiderivative, Hermitized.
 
-    One product M_a Int[M_b] is formed per pair of harmonics; harmonics whose
-    magnitude exceeds keep_max_harmonic are split off into the discarded
-    dict (returned on request so nothing is silently lost).  The
+    One product M_a Int[M_b] is formed per pair of harmonics; only the
+    harmonics with |n| <= keep_max_harmonic are Hermitized and returned.  The
     antiderivative constant is zero -- a nonzero choice would introduce
     secular growth, which is why a static input harmonic is rejected.
     """
@@ -182,13 +179,9 @@ def second_order_average(
             if nb != na:
                 p = p + (mb @ ma) * (-1.0 / (na * omegaL))
             _accumulate(products, na + nb, p)
-    kept, discarded = {}, {}
-    for n in sorted(products.keys() | {-k for k in products}):
-        sym = 0.5 * (products.get(n, zero) + dagger(products.get(-n, zero)))
-        (kept if abs(n) <= keep_max_harmonic else discarded)[n] = sym
-    if return_discarded:
-        return kept, discarded
-    return kept
+    harmonics = sorted(products.keys() | {-k for k in products})
+    return {n: 0.5 * (products.get(n, zero) + dagger(products.get(-n, zero)))
+            for n in harmonics if abs(n) <= keep_max_harmonic}
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,10 +206,6 @@ class CoefficientCheck:
 @dataclass(frozen=True, slots=True)
 class HeffReport:
     checks: tuple
-
-    @property
-    def max_deviation(self) -> float:
-        return max(c.deviation for c in self.checks)
 
     def all_within(self, tol: float) -> bool:
         return all(c.deviation <= tol for c in self.checks)

@@ -24,10 +24,10 @@ def child_env():
     return env
 
 
-def _load_bench(name):
-    """bench/<name>.py, loaded by path: the benchmark is not a package."""
+def _load(folder, name):
+    """<folder>/<name>.py, loaded by path: bench/ and tools/ are not packages."""
     spec = importlib.util.spec_from_file_location(
-        f"thzpair_bench_{name}", ROOT / "bench" / f"{name}.py")
+        f"thzpair_{folder}_{name}", ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -36,10 +36,16 @@ def _load_bench(name):
 @pytest.fixture(scope="session")
 def reference():
     """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
-    return _load_bench("reference")
+    return _load("bench", "reference")
 
 
 @pytest.fixture(scope="session")
 def bench_workloads():
     """The benchmark's workloads and their checks, bench/workloads.py."""
-    return _load_bench("workloads")
+    return _load("bench", "workloads")
+
+
+@pytest.fixture(scope="session")
+def rounding_scan():
+    """The scan of sweep cells against the reference, tools/rounding_scan.py."""
+    return _load("tools", "rounding_scan")

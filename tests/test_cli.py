@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzpair import cli, correlations, dynamics, model
+from thzpair import cli, correlations, dynamics, heff, model
 from thzpair.model import ConfigError, PhysicalParams, preset, with_rabi
 
 
@@ -515,6 +515,27 @@ def test_light_shift_past_rabi_squared_range_reaches_the_solve(
         assert reference.rel_dev(value, ref) <= 1e-13
 
 
+## gan-dot across the zero crossing of sz near saturation, where |sz| reaches
+## 1e-7; read off rho's populations, sz printed -1.75691758e-07 at the fourth
+SATURATION_RABI = (4.40e14, 4.42e14, 4.43e14, 444033526134166.5, 4.44e14, 4.45e14, 4.46e14,
+                   4.48e14)
+
+
+def test_near_saturation_cells_are_correctly_rounded(rounding_scan, capsys):
+    """Every cell of these sweep rows, sz included, prints the 50-digit
+    reference rounded to nine digits, and steady prints the sweep's sz."""
+    base = preset("gan-dot")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", model.PairChannelClosedWarning)  # past the crossing
+        rows = [cli._sweep_point(base, rabi) for rabi in SATURATION_RABI]
+        assert cli.main(["steady", "--preset", "gan-dot", "--rabi", "444033526134166.5"]) == 0
+    lines = cli.sweep_csv(rows).splitlines()[1:]
+    for rabi, line in zip(SATURATION_RABI, lines):
+        assert rounding_scan.misrounded(with_rabi(base, rabi), line) == []
+    assert lines[3].split(",")[1] == "-1.75691759e-07"
+    assert "sz           = -1.75691759e-07\n" in capsys.readouterr().out
+
+
 OVERFLOW_CFG = ("omega0 = 1e15\nomegaL = 1.00001e15\ndipole_ratio = 1\ngamma0 = 1e308\n"
                 "rabi = 1e13\n")
 
@@ -740,6 +761,18 @@ def test_verify_heff_truncation_guard(capsys):
                          "--mode-truncation", n]) == rc
         err = capsys.readouterr().err
         assert (f"mode truncation must be >= 2 and <= 64, got {n}" in err) is (rc != cli.EXIT_OK)
+
+
+def test_verify_heff_help_and_refusal_name_one_bound(monkeypatch, capsys):
+    """The truncation bound is heff's: moved there, the flag's help and the
+    refusal of a truncation past it both follow."""
+    monkeypatch.setattr(heff, "_MAX_TRUNCATION", 5)
+    with pytest.raises(SystemExit):
+        cli.main(["verify-heff", "--help"])
+    assert "Fock-space cutoff N (2 to 5)" in " ".join(capsys.readouterr().out.split())
+    assert cli.main(["verify-heff", "--preset", "gamma-globulin", "--rabi", "1e13",
+                     "--mode-truncation", "6"]) == cli.EXIT_CONFIG
+    assert "mode truncation must be >= 2 and <= 5, got 6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, factor, noted", [

@@ -1,7 +1,11 @@
 """The mutation script's verdict, checked without running the suite per mutant."""
 
 import importlib.util
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +29,9 @@ def check(root, monkeypatch, source, rc):
 
     monkeypatch.setattr(mutate, "ROOT", root)
     monkeypatch.setattr(mutate.subprocess, "run", run)
+    handler = signal.getsignal(signal.SIGTERM)
     status = mutate.main([str(module)])
+    assert signal.getsignal(signal.SIGTERM) is handler  # restored on the way out
     assert module.read_text(encoding="utf-8") == source
     return status, runs
 
@@ -60,3 +66,44 @@ def test_a_listed_survivor_does_not_fail_the_check(tmp_path, monkeypatch, capsys
         status, ["y = 1\nx = y < 2\n"])
     reason = "equivalent" if known else "NOT KNOWN"
     assert capsys.readouterr().out.endswith(f"  m.py:2:7: <= -> <  [{reason}]\n")
+
+
+## A child runs the script on a one-file tree, with a tier-1 run that marks
+## its start and then sleeps.
+_SLEEPING_RUN = """
+import importlib.util, pathlib, sys, time
+spec = importlib.util.spec_from_file_location("mutate", sys.argv[1])
+mutate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mutate)
+mutate.ROOT = pathlib.Path(sys.argv[2])
+def run(*args, **kwargs):
+    (mutate.ROOT.parent / "started").touch()
+    time.sleep(120)
+mutate.subprocess.run = run
+sys.exit(mutate.main([str(mutate.ROOT / "m.py")]))
+"""
+
+
+def test_sigterm_removes_the_temporary_copy(tmp_path):
+    """SIGTERM during a tier-1 run ends the script with a non-zero status,
+    and its copy of the tree is removed, not left in the temporary folder."""
+    tree, tmp = tmp_path / "tree", tmp_path / "tmp"
+    tree.mkdir()
+    tmp.mkdir()
+    (tree / "m.py").write_text("x = 1.5\n", encoding="utf-8")
+    script = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
+    child = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_RUN, str(script), str(tree)],
+        env=dict(os.environ, TMPDIR=str(tmp)), stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (tmp_path / "started").exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert list(tmp.glob("mutate-*/repo/m.py"))  # the copy is there while it runs
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60.0) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait(timeout=60.0)
+    assert list(tmp.iterdir()) == []

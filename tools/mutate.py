@@ -14,7 +14,9 @@ move by one float, or a refusal that can go, unnoticed.
 
 The survivors are printed at the end.  Those listed in KNOWN are mutants no
 input is known to tell apart from the original, each with its reason; the
-exit status is 1 when any other mutant survived, 0 when none did.
+exit status is 1 when any other mutant survived, 0 when none did.  On
+SIGTERM the script stops its tier-1 run, removes the temporary copy and exits
+143.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -89,12 +92,33 @@ def mutations(source: str) -> list:
     return sorted(out, key=lambda m: m[:2])  # stable: x10 before x0.1
 
 
+def _terminate(signum, frame):
+    ## SystemExit unwinds through subprocess.run, which kills the tier-1 run,
+    ## and through the temporary directory, which is removed
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path, help="module file inside the repository")
     args = parser.parse_args(argv)
     rel = args.module.resolve().relative_to(ROOT)
     source = (ROOT / rel).read_text(encoding="utf-8")
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        survivors = _survivors(rel, source)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    unknown = [label for label, reason in survivors if reason is None]
+    print(f"\n{len(survivors)} survivor(s) in {rel}, {len(unknown)} not in KNOWN:")
+    for label, reason in survivors:
+        print(f"  {label}  [{reason or 'NOT KNOWN'}]")
+    return 1 if unknown else 0
+
+
+def _survivors(rel: Path, source: str) -> list:
+    """(label, KNOWN reason or None) of each mutant of source that tier-1
+    does not fail, run in a temporary copy of the repository."""
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         tree = Path(tmp) / "repo"
@@ -116,11 +140,7 @@ def main(argv=None) -> int:
             if rc == 0:
                 text = source.splitlines()[line - 1].strip()
                 survivors.append((label, KNOWN.get((rel.as_posix(), text, change))))
-    unknown = [label for label, reason in survivors if reason is None]
-    print(f"\n{len(survivors)} survivor(s) in {rel}, {len(unknown)} not in KNOWN:")
-    for label, reason in survivors:
-        print(f"  {label}  [{reason or 'NOT KNOWN'}]")
-    return 1 if unknown else 0
+    return survivors
 
 
 if __name__ == "__main__":
