@@ -80,8 +80,9 @@ class BlochState:
 
     rho: np.ndarray
     ## <S_z> as steady_state solved it, or None; s_z reads rho's populations,
-    ## which near saturation (|<S_z>| ~ 1e-7) hold it only to ~1e-9 relative
-    solved_s_z: float | None = field(default=None, compare=False)
+    ## which near saturation (|<S_z>| ~ 1e-7) hold it only to ~1e-9 relative.
+    ## Only steady_state sets it, so a state made from any rho reads None.
+    solved_s_z: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
@@ -283,8 +284,9 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     ## <S_z> = y'_3/sqrt2 from a second solve for the deviation y' from I/2
     ## (|1><1| = I/2 - e_3/sqrt2), which carries no O(1) rounding
     y_half = np.linalg.solve(aa, bb - aa[:, 2] / math.sqrt(2.0))
-    return BlochState(PROJ_GROUND + hs_reconstruct([0.0, *xr]),
-                      solved_s_z=float(y_half[2]) / math.sqrt(2.0))
+    state = BlochState(PROJ_GROUND + hs_reconstruct([0.0, *xr]))
+    object.__setattr__(state, "solved_s_z", float(y_half[2]) / math.sqrt(2.0))
+    return state
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -24,28 +24,25 @@ def child_env():
     return env
 
 
-def _load(folder, name):
-    """<folder>/<name>.py, loaded by path: bench/ and tools/ are not packages."""
+@pytest.fixture(scope="session")
+def rounding_scan():
+    """The scan of sweep cells against the reference, tools/rounding_scan.py,
+    loaded by path: tools/ is not a package.  It loads bench/reference.py and
+    bench/workloads.py, which the fixtures below hand on."""
     spec = importlib.util.spec_from_file_location(
-        f"thzpair_{folder}_{name}", ROOT / folder / f"{name}.py")
+        "thzpair_tools_rounding_scan", ROOT / "tools" / "rounding_scan.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.fixture(scope="session")
-def reference():
-    """The benchmark's 50-digit model, bench/reference.py, loaded by path."""
-    return _load("bench", "reference")
+def reference(rounding_scan):
+    """The benchmark's 50-digit model, bench/reference.py."""
+    return rounding_scan.reference
 
 
 @pytest.fixture(scope="session")
-def bench_workloads():
+def bench_workloads(rounding_scan):
     """The benchmark's workloads and their checks, bench/workloads.py."""
-    return _load("bench", "workloads")
-
-
-@pytest.fixture(scope="session")
-def rounding_scan():
-    """The scan of sweep cells against the reference, tools/rounding_scan.py."""
-    return _load("tools", "rounding_scan")
+    return rounding_scan.workloads

@@ -332,6 +332,18 @@ def test_preset_steady_state_anchors():
         assert ss.p_excited == pytest.approx(p2, rel=1e-12)
 
 
+def test_only_steady_state_sets_the_solved_s_z():
+    """solved_s_z sits beside rho but is no constructor argument, and a copy
+    with another rho drops it: it never contradicts the rho it is read with."""
+    ss = steady_state(build_adjoint_generator(
+        from_physical(with_rabi(preset("gamma-globulin"), 1e13))))
+    assert ss.solved_s_z == pytest.approx(ss.s_z, rel=1e-12)
+    with pytest.raises(TypeError):
+        BlochState(ss.rho, solved_s_z=ss.s_z)
+    assert BlochState(ss.rho).solved_s_z is None
+    assert dataclasses.replace(ss, rho=ground_state().rho).solved_s_z is None
+
+
 @pytest.mark.parametrize("gamma0", [1e200, 1e307])
 def test_steady_state_survives_a_generator_past_the_norm_squares_range(gamma0):
     """Past max|G| ~ 1e170 the squares in an unscaled residual norm overflow

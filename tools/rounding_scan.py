@@ -1,12 +1,12 @@
 """Scan of the benchmark's sweep rows for cells that are not correctly rounded.
 
-The benchmark's timed sweeps (the first three blocks of ``Sweep.blocks`` at
-seeds 1-14 of bench/workloads.py, 84,548 rows) are run through the package,
+The benchmark's timed sweeps (the first BLOCKS blocks of ``Sweep.blocks`` at
+seeds 1..SEEDS of bench/workloads.py, 84,548 rows) are run through the package,
 and each row's sz, p2, g12, g21, cs_rhs and pair_freq cells are compared with
 the 50-digit values of bench/reference.py rounded to nine significant digits,
 half to even.  A cell that prints any other value is reported.
 
-    PYTHONPATH=src python3 tools/rounding_scan.py [--seeds 14] [--blocks 3]
+    PYTHONPATH=src python3 tools/rounding_scan.py
 
 The full scan takes about eleven minutes on one core.  Rows that fail to solve
 print as NaN and are counted apart.  The exit status is 1 when any cell is
@@ -15,7 +15,6 @@ not correctly rounded, 0 otherwise.  Nothing under bench/ is written.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import itertools
 import sys
@@ -27,6 +26,8 @@ from thzpair import model
 
 ROOT = Path(__file__).resolve().parents[1]
 COLUMNS = ("sz", "p2", "g12", "g21", "cs_rhs", "pair_freq")
+## the timed part of the benchmark: seeds 1..SEEDS, BLOCKS sweep blocks each
+SEEDS, BLOCKS = 14, 3
 
 
 def _bench(name):
@@ -69,16 +70,12 @@ def misrounded(params: model.PhysicalParams, line: str) -> list:
     return [(c, cells[c], want[c]) for c in COLUMNS if Decimal(cells[c]) != want[c]]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=14, help="seeds 1..SEEDS (default 14)")
-    parser.add_argument("--blocks", type=int, default=3, help="blocks per seed (default 3)")
-    args = parser.parse_args(argv)
+def main() -> int:
     warnings.simplefilter("ignore")  # the physics warnings of the strong drives
     sweep = workloads.Sweep()
     rows = failed = bad = 0
-    for seed in range(1, args.seeds + 1):
-        for op in itertools.chain.from_iterable(itertools.islice(sweep.blocks(seed), args.blocks)):
+    for seed in range(1, SEEDS + 1):
+        for op in itertools.chain.from_iterable(itertools.islice(sweep.blocks(seed), BLOCKS)):
             base = model.preset(op["preset"])
             out, text = sweep.run(op)
             for row, line in zip(out, text.splitlines()[1:]):
