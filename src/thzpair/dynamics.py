@@ -74,7 +74,7 @@ class PhysicalityError(ValueError):
     """A density matrix breaks trace, Hermiticity or positivity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochState:
     """Density matrix of the emitter with its expectation-value view."""
 
@@ -82,7 +82,7 @@ class BlochState:
     ## <S_z> as steady_state solved it, or None; s_z reads rho's populations,
     ## which near saturation (|<S_z>| ~ 1e-7) hold it only to ~1e-9 relative.
     ## Only steady_state sets it, so a state made from any rho reads None.
-    solved_s_z: float | None = field(default=None, init=False, compare=False)
+    solved_s_z: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
@@ -144,7 +144,7 @@ def excited_state() -> BlochState:
     return BlochState(PROJ_EXCITED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointGenerator:
     """Real 4x4 matrix of d<Q>/dt over HS_BASIS, plus the model it came from.
 

@@ -24,6 +24,7 @@ use, not a restatement of their formulas.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -124,10 +125,11 @@ def build_lab_hamiltonian(
 ) -> dict:
     """Single-mode lab Hamiltonian with the cosine drive split into e^{+-i w_L t}.
 
-    Kronecker ordering is atom (x) mode.  n_trunc must be >= 2 so that the
-    second-order products have room for two excitations.
+    Kronecker ordering is atom (x) mode.  n_trunc must be an integer >= 2 so
+    that the second-order products have room for two excitations.
     """
-    if not 2 <= n_trunc <= _MAX_TRUNCATION:
+    if (type(n_trunc) is bool or not isinstance(n_trunc, numbers.Integral)
+            or not 2 <= n_trunc <= _MAX_TRUNCATION):
         raise ValueError(f"mode truncation must be >= 2 and <= {_MAX_TRUNCATION}, got {n_trunc}")
     ops = _ops(n_trunc)
     # full (non-rotating-wave) atom-field coupling i g (a^dag - a)(S+ + S-)

@@ -344,6 +344,19 @@ def test_only_steady_state_sets_the_solved_s_z():
     assert dataclasses.replace(ss, rho=ground_state().rho).solved_s_z is None
 
 
+def test_states_and_generators_compare_by_identity():
+    """Equality and hashing are the object's own, never a comparison of the
+    arrays the records hold, so every pair compares and every record hashes."""
+    eff = from_physical(with_rabi(preset("gamma-globulin"), 1e13))
+    for make in (ground_state, lambda: build_adjoint_generator(eff)):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert not a == b and a != b
+        assert {a, a} == {a} and len({a, b}) == 2
+        assert hash(a) == hash(a)
+    assert ground_state() != excited_state()
+
+
 @pytest.mark.parametrize("gamma0", [1e200, 1e307])
 def test_steady_state_survives_a_generator_past_the_norm_squares_range(gamma0):
     """Past max|G| ~ 1e170 the squares in an unscaled residual norm overflow

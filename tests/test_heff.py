@@ -103,11 +103,14 @@ def test_lab_hamiltonian_does_not_share_cached_operators():
 
 
 def test_lab_hamiltonian_truncation_guard():
+    """N is an integer in 2..64: a float, a string or a bool is no mode count
+    and is refused by name, and a numpy integer is one."""
     params, model = working_point()
-    for n in (1, 65):
-        with pytest.raises(ValueError, match=f"mode truncation must be >= 2 and <= 64, got {n}"):
+    for n in (1, 65, 3.0, 3.5, "3", True):
+        with pytest.raises(ValueError, match=f"^mode truncation must be >= 2 and <= 64, got {n}$"):
             build_lab_hamiltonian(params, n, model.pair_freq, 1e9)
     assert build_lab_hamiltonian(params, 64, model.pair_freq, 1e9)[0].shape == (130, 130)
+    assert verify_derivation(params, model, n_trunc=np.int64(3)).all_within(1e-8)
 
 
 def test_rotated_frame_harmonics():
