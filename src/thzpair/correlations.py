@@ -3,16 +3,15 @@
 Channel 1 collects the low-frequency (THz-range) emission, whose field
 creation operator is sourced by S-; channel 2 collects the optical emission,
 sourced by S+.  All proportionality constants between field and source
-cancel in the normalized g2, so the correlators reduce to ratios of atomic
-expectation values:
+cancel in the normalized g2.  Each source B is rank one with unit norm, so a
+click on channel i leaves B_i^dag rho B_i = <B_i B_i^dag> B_i^dag B_i: a THz
+click always leaves the emitter in |2><2|, an optical click in |1><1|.  The
+click's weight cancels, and the quantum regression rule reads
 
-    g_ij(tau) = Tr( B_j B_j^dag * e^{L tau}[ B_i^dag rho B_i ] )
-                / (<B_i B_i^dag> <B_j B_j^dag>)
+    g_ij(tau) = Tr( B_j B_j^dag * e^{L tau}[ B_i^dag B_i ] ) / <B_j B_j^dag>,
 
-with B_1 = S-, B_2 = S+.  Detecting a photon on channel i at time zero
-collapses the state to B_i^dag rho B_i (a THz click leaves the emitter
-excited), which then relaxes under the same generator as one-time averages.
-At tau = 0 the numerator is <B_i B_j B_j^dag B_i^dag>, the zero-delay g_ij(0).
+a conditional population over a steady one: g12(0) = 1/P2, g21(0) = 1/P1
+and g11(0) = g22(0) = 0.
 """
 
 from __future__ import annotations
@@ -44,16 +43,21 @@ class ChannelDarkError(RuntimeError):
 CHANNEL_SOURCES = {1: SM, 2: SP}
 
 
-def _diagonal(op: np.ndarray) -> tuple:
-    assert not op[0, 1] and not op[1, 0], "operator is not diagonal"
-    return tuple(op.diagonal().real.tolist())
+def _click(b: np.ndarray) -> tuple:
+    post, intensity = dagger(b) @ b, b @ dagger(b)
+    assert not intensity[0, 1] and not intensity[1, 0], "B B^dag is not diagonal"
+    for x in np.eye(4).reshape(4, 2, 2):
+        kept = dagger(b) @ x @ b
+        assert (kept == np.trace(x @ intensity) * post).all(), "B is not rank one with unit norm"
+    return post, tuple(intensity.diagonal().real.tolist())
 
 
-# For S+ and S- each normal-ordered intensity B B^dag is diagonal (a
-# projector), so its expectation reads off an operator's populations p as
-# d0*p0 + d1*p1.  That is Tr(op B B^dag) bit for bit: the other terms of the
-# trace are signed zeros.
-_INTENSITY_DIAG = {c: _diagonal(b @ dagger(b)) for c, b in CHANNEL_SOURCES.items()}
+# Channel -> (B^dag B, the state a click leaves; the diagonal (d0, d1) of the
+# intensity B B^dag).  Tr(op B B^dag) reads d0*p0 + d1*p1 off op's populations
+# p bit for bit, the other terms being signed zeros.  B^dag X B =
+# Tr(X B B^dag) B^dag B, checked on the four matrix units X, holds exactly
+# when B is rank one with unit norm.
+_CHANNELS = {c: _click(b) for c, b in CHANNEL_SOURCES.items()}
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,8 @@ class CorrelationReport:
 
 def _intensity(channel: int, op: np.ndarray) -> float:
     """Tr(op B B^dag) for the channel's source B, read off op's populations."""
-    (d0, d1), (p0, p1) = _INTENSITY_DIAG[channel], op.diagonal().real.tolist()
+    (d0, d1), (p0, p1) = _CHANNELS[channel][1], op.diagonal().real.tolist()
     return d0 * p0 + d1 * p1
-
-
-def _collapse(channel: int, rho: np.ndarray) -> np.ndarray:
-    """B^dag rho B: the un-normalized state a detection on the channel leaves."""
-    b = CHANNEL_SOURCES[channel]
-    return dagger(b) @ rho @ b
 
 
 def _mean_intensity(channel: int, rho: np.ndarray) -> float:
@@ -94,11 +92,11 @@ def _mean_intensity(channel: int, rho: np.ndarray) -> float:
 
 
 def _zero_delay(rho: np.ndarray, *pairs) -> list:
-    """g_ij(0) = I_j(B_i^dag rho B_i) / (n_i n_j) for each pair (i, j), g2_tau's
-    read at tau = 0; each channel's n and collapsed state are formed once."""
+    """g_ij(0) = I_j(B_i^dag B_i) / n_j for each pair (i, j), g2_tau's read at
+    tau = 0.  Each channel's mean intensity n is formed once, in pair order,
+    the clicked channel's too: a dark channel has no click to condition on."""
     n = {c: _mean_intensity(c, rho) for c in dict.fromkeys(sum(pairs, ()))}
-    collapsed = {i: _collapse(i, rho) for i in dict.fromkeys(i for i, _ in pairs)}
-    return [_intensity(j, collapsed[i]) / (n[i] * n[j]) for i, j in pairs]
+    return [_intensity(j, _CHANNELS[i][0]) / n[j] for i, j in pairs]
 
 
 def g2_zero(i: int, j: int, rho_ss: BlochState) -> float:
@@ -110,8 +108,8 @@ def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
     """All four zero-delay correlators and the classical inequality sides.
 
     For a single two-level emitter the same-channel correlators vanish
-    identically (the squared ladder operators are the zero matrix), so
-    cs_lhs = 0 and any nonzero cross-correlation violates the classical
+    identically (a click leaves the state its own channel cannot emit from),
+    so cs_lhs = 0 and any nonzero cross-correlation violates the classical
     bound cs_lhs >= cs_rhs.
     """
     g11, g22, g12, g21 = _zero_delay(rho_ss.rho, (1, 1), (2, 2), (1, 2), (2, 1))
@@ -123,18 +121,17 @@ def cauchy_schwarz(rho_ss: BlochState) -> CorrelationReport:
 def g2_tau(i: int, j: int, g: AdjointGenerator, rho_ss: BlochState, tau_grid) -> list:
     """g2 of channel j delayed by tau after a channel-i detection at tau = 0.
 
-    Markovian evaluation: the collapsed (un-normalized) state B_i^dag rho B_i
-    evolves under the dual generator; each grid point is independent, so the
-    delays may come in any order and the values return in that order.  The
-    cross channels are not of Lindblad form, so the evolved operator can
-    leave the positive cone; a delay where it does raises PhysicalityError.
+    The state the click leaves, B_i^dag B_i, evolves under the dual generator
+    to each delay on its own, so the delays may come in any order and the
+    values return in that order.  The cross channels are not of Lindblad
+    form, so it can leave the positive cone; a delay where it does raises
+    PhysicalityError.  rho_ss enters only through the mean intensities.
     """
-    rho = rho_ss.rho
-    den = _mean_intensity(i, rho) * _mean_intensity(j, rho)
-    collapsed = _collapse(i, rho)
+    _mean_intensity(i, rho_ss.rho)  # a dark channel has no click to condition on
+    n_j = _mean_intensity(j, rho_ss.rho)
     out = []
     for tau in map(float, tau_grid):  # propagate_dual refuses a bad delay
-        evolved = propagate_dual(g, collapsed, tau)
+        evolved = propagate_dual(g, _CHANNELS[i][0], tau)
         require_positive(evolved, "collapsed state at tau = %r s", tau)
-        out.append(_intensity(j, evolved) / den)
+        out.append(_intensity(j, evolved) / n_j)
     return out

@@ -240,7 +240,8 @@ def steady_state(g: AdjointGenerator) -> BlochState:
     """Unique fixed point of the dual flow with unit trace.
 
     The trace component is conserved exactly (first dual row is zero), so
-    the problem reduces to a 3x3 solve for the traceless components.
+    the problem reduces to a 3x3 solve for the traceless components.  The
+    row-equilibrated block is solved once, with no refinement step.
     """
     if max(abs(w) for w in _weights(g.model)) == 0.0:
         raise DegenerateSteadyStateError("all dissipative channel weights are zero")
@@ -316,8 +317,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     """Evolve an arbitrary operator under the state-picture flow for time t.
 
-    Used both for density matrices and for the un-normalized collapsed
-    operators of two-time correlators.
+    Used both for density matrices and for the state a detection leaves,
+    B^dag B, in two-time correlators.
     """
     t = float(t)  # a numpy delay is named as a number
     if not math.isfinite(t):

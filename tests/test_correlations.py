@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import warnings
-from collections import Counter
 
 import mpmath
 import numpy as np
@@ -17,7 +16,7 @@ from thzpair.correlations import (
     CHANNEL_SOURCES,
     ChannelDarkError,
     CorrelationReport,
-    _collapse,
+    _CHANNELS,
     _intensity,
     cauchy_schwarz,
     g2_tau,
@@ -61,16 +60,32 @@ def test_channel_map_operators():
         g2_tau(1, 0, g, ss, [0.0])
 
 
+@pytest.mark.parametrize("source, message", [
+    (2.0 * SM, "not rank one with unit norm"),
+    (SM + SP, "not rank one with unit norm"),
+    (np.array([[0.0, 1.0], [0.0, 1.0]]) / math.sqrt(2.0), "not diagonal"),
+])
+def test_the_import_check_refuses_a_source_without_a_fixed_post_click_state(source, message):
+    """A source that is not rank one with unit norm, or whose intensity is
+    not diagonal, is refused where the channel table is built."""
+    with pytest.raises(AssertionError, match=message):
+        correlations._click(source)
+
+
+@pytest.mark.filterwarnings("ignore::thzpair.model.PerturbativeDriveWarning")
+@pytest.mark.filterwarnings("ignore::thzpair.model.PairChannelClosedWarning")
 def test_cross_correlations_are_inverse_populations():
-    """g12 = 1/P2 and g21 = 1/P1: a THz click leaves the emitter excited,
-    so the conditioned optical intensity is 1 against an unconditioned P2."""
-    for omega in [1e11, 3e11, 1e12, 3e12, 1e13]:
-        _, ss = setup_point(omega)
-        rep = cauchy_schwarz(ss)
-        p2 = ss.p_excited
-        p1 = 1.0 - p2
-        assert abs(rep.g12 * p2 - 1.0) <= 1e-12
-        assert abs(rep.g21 * p1 - 1.0) <= 1e-12
+    """g12 = 1/P2 and g21 = 1/P1 bit for bit, at 40 drives per preset: a THz
+    click leaves the emitter excited, so the conditioned optical intensity is
+    1 against an unconditioned P2, and an optical click leaves it in the
+    ground state."""
+    for name, hi in (("gamma-globulin", 13.69), ("gan-dot", 15.0)):
+        for e in np.linspace(11.0, hi, 40):
+            g = build_adjoint_generator(from_physical(with_rabi(preset(name), 10.0**e)))
+            ss = steady_state(g)
+            rep = cauchy_schwarz(ss)
+            assert rep.g12 == 1.0 / ss.p_excited, (name, e)
+            assert rep.g21 == 1.0 / ss.rho[0, 0].real, (name, e)
 
 
 def test_same_channel_correlations_vanish_identically():
@@ -107,7 +122,9 @@ def test_zero_delay_values_at_working_points():
 @pytest.mark.filterwarnings("ignore::thzpair.model.PerturbativeDriveWarning")
 def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
     """The populations-only reads give every correlator bit for bit as the
-    operator products formed afresh."""
+    operator products formed afresh: a channel-i click collapses rho to
+    B_i^dag rho B_i = <B_i B_i^dag> B_i^dag B_i exactly, and g_ij is the
+    channel-j intensity of B_i^dag B_i over channel j's mean intensity."""
     ss = steady_state(build_adjoint_generator(from_physical(with_rabi(preset(name), rabi))))
     rho = ss.rho
 
@@ -117,8 +134,11 @@ def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
 
     def corr(i, j):
         bi, bj = CHANNEL_SOURCES[i], CHANNEL_SOURCES[j]
-        num = expectation(bi @ bj @ dagger(bj) @ dagger(bi), rho).real
-        return num / (mean(i) * mean(j))
+        return expectation(bj @ dagger(bj), dagger(bi) @ bi).real / mean(j)
+
+    for b in CHANNEL_SOURCES.values():
+        assert np.array_equal(dagger(b) @ rho @ b, expectation(b @ dagger(b), rho).real
+                              * (dagger(b) @ b))
 
     rep = cauchy_schwarz(ss)
     assert (rep.g11, rep.g22, rep.g12, rep.g21) == (corr(1, 1), corr(2, 2), corr(1, 2), corr(2, 1))
@@ -127,11 +147,13 @@ def test_cauchy_schwarz_matches_operator_products_formed_per_call(name, rabi):
 
 def test_diagonal_reads_are_the_operator_products_bit_for_bit():
     """Both mean intensities read off rho's populations, and all four
-    zero-delay numerators read as the channel-j intensity of the collapsed
-    state B_i^dag rho B_i, equal expectation() of the operator products to
-    the last bit, sign of zero included; so does each channel's intensity
-    read off the collapsed operators that g2_tau evolves, against
-    Tr(op B_j B_j^dag), at delays from 0 to 10/gamma_R."""
+    zero-delay numerators read as the channel-j intensity of the state
+    B_i^dag B_i a channel-i click leaves, equal expectation() of the
+    operator products to the last bit, sign of zero included; so does each
+    channel's intensity read off the evolved post-click states that g2_tau
+    reads, against Tr(op B_j B_j^dag), at delays from 0 to 10/gamma_R.  On
+    every state the collapse B_i^dag rho B_i is <B_i B_i^dag> B_i^dag B_i
+    exactly."""
     states = [ground_state(), excited_state(), BlochState(0.5 * np.eye(2) + 0.3 * (SP + SM))]
     evolved = []
     with warnings.catch_warnings():
@@ -142,21 +164,23 @@ def test_diagonal_reads_are_the_operator_products_bit_for_bit():
                 ss = steady_state(g)
                 states += [ss, propagate(g, excited_state(), 0.3 / g.model.gamma_R)]
                 for b in CHANNEL_SOURCES.values():
-                    collapsed = dagger(b) @ ss.rho @ b
-                    evolved += [propagate_dual(g, collapsed, tau)
+                    evolved += [propagate_dual(g, dagger(b) @ b, tau)
                                 for tau in np.linspace(0.0, 10.0 / g.model.gamma_R, 9)]
     def bits(x):
         return np.float64(x).tobytes()
 
+    for i, bi in CHANNEL_SOURCES.items():
+        post_click = dagger(bi) @ bi
+        assert np.array_equal(_CHANNELS[i][0], post_click)
+        for j, bj in CHANNEL_SOURCES.items():
+            want = expectation(bj @ dagger(bj), post_click).real
+            assert bits(_intensity(j, _CHANNELS[i][0])) == bits(want)
     for state in states:
         rho = state.rho
         for c, b in CHANNEL_SOURCES.items():
             want = expectation(b @ dagger(b), rho).real
             assert bits(_intensity(c, rho)) == bits(want)
-        for i, bi in CHANNEL_SOURCES.items():
-            for j, bj in CHANNEL_SOURCES.items():
-                want = expectation(bi @ bj @ dagger(bj) @ dagger(bi), rho).real
-                assert bits(_intensity(j, _collapse(i, rho))) == bits(want)
+            assert np.array_equal(dagger(b) @ rho @ b, want * (dagger(b) @ b))
     for op in evolved:
         for c, b in CHANNEL_SOURCES.items():
             want = float(np.trace(op @ (b @ dagger(b))).real)
@@ -172,22 +196,25 @@ def test_dark_channel_raises():
 
 
 def test_a_report_forms_each_channels_reads_once(monkeypatch):
-    """cauchy_schwarz forms 2 mean intensities and 2 collapsed states, one
-    per channel (four g2_zero calls formed 8 and 4); g2_zero forms one
-    intensity per channel and the collapse of channel i alone."""
-    counts = Counter()
-    for name in ("_collapse", "_mean_intensity"):
-        def counted(*args, _name=name, _real=getattr(correlations, name)):
-            counts[_name] += 1
-            return _real(*args)
+    """cauchy_schwarz forms 2 mean intensities, one per channel (four g2_zero
+    calls formed 8); g2_zero and g2_tau form one per channel, the clicked
+    channel's first."""
+    calls = []
 
-        monkeypatch.setattr(correlations, name, counted)
-    _, ss = setup_point(1e13)
+    def counted(*args, _real=correlations._mean_intensity):
+        calls.append(args[0])
+        return _real(*args)
+
+    monkeypatch.setattr(correlations, "_mean_intensity", counted)
+    g, ss = setup_point(1e13)
     cauchy_schwarz(ss)
-    assert counts == {"_collapse": 2, "_mean_intensity": 2}
-    counts.clear()
+    assert calls == [1, 2]
+    calls.clear()
     g2_zero(1, 2, ss)
-    assert counts == {"_collapse": 1, "_mean_intensity": 2}
+    assert calls == [1, 2]
+    calls.clear()
+    g2_tau(2, 1, g, ss, [0.0, 1e-9])
+    assert calls == [2, 1]
 
 
 @pytest.mark.parametrize("i, j, error, message", [
@@ -196,10 +223,14 @@ def test_a_report_forms_each_channels_reads_once(monkeypatch):
     (1, 3, ValueError, "channel must be 1 or 2, got 3"),
 ])
 def test_channel_errors_follow_the_channel_order(i, j, error, message):
-    """Channel i is checked before channel j, whether it is bad or dark."""
-    _, ss = setup_point(0.0)  # undriven: channel 2 is dark
+    """Channel i is checked before channel j, whether it is bad or dark, by
+    g2_tau too, although its values read the clicked channel's intensity
+    nowhere."""
+    g, ss = setup_point(0.0)  # undriven: channel 2 is dark
     with pytest.raises(error, match=message):
         g2_zero(i, j, ss)
+    with pytest.raises(error, match=message):
+        g2_tau(i, j, g, ss, [0.0])
 
 
 @pytest.mark.parametrize("p2, dark", [(1e-299, False), (1e-300, True), (3e-301, True),
