@@ -6,7 +6,7 @@ the inversion-coupled field displacement.  This module re-derives them
 numerically, with no rotating-wave shortcuts, on a Fock-truncated single-mode
 copy of the lab Hamiltonian:
 
-    H = w_k a^dag a + w_0 S_z + Omega (S+ + S-) cos(w_L t)
+    H = w_L a^dag a + w_0 S_z + Omega (S+ + S-) cos(w_L t)
         + G S_z cos(w_L t) + i g (a^dag - a)(S+ + S-)
 
 A Hamiltonian is a dict {n: M_n} meaning sum_n M_n e^{i n w_L t}, with each
@@ -38,7 +38,6 @@ __all__ = [
     "CoefficientCheck",
     "HeffReport",
     "build_lab_hamiltonian",
-    "hermiticity_defect",
     "rotate_frame",
     "second_order_average",
     "compare_to_target",
@@ -110,30 +109,21 @@ def _accumulate(acc: dict, n: int, m: np.ndarray) -> None:
     acc[n] = acc[n] + m if n in acc else m
 
 
-def hermiticity_defect(h: dict) -> float:
-    """max_n || M_n - M_{-n}^dag ||_max; zero for a Hermitian Hamiltonian."""
-    defect = 0.0
-    for n, m in h.items():
-        partner = h.get(-n)
-        diff = m if partner is None else m - dagger(partner)
-        defect = max(defect, float(np.max(np.abs(diff))))
-    return defect
-
-
-def build_lab_hamiltonian(
-    params: PhysicalParams, n_trunc: int, mode_freq: float, coupling: float
-) -> dict:
+def build_lab_hamiltonian(params: PhysicalParams, n_trunc: int, coupling: float) -> dict:
     """Single-mode lab Hamiltonian with the cosine drive split into e^{+-i w_L t}.
 
     Kronecker ordering is atom (x) mode.  n_trunc must be an integer >= 2 so
-    that the second-order products have room for two excitations.
+    that the second-order products have room for two excitations.  The mode
+    sits at w_L; its frequency reaches no coefficient, because the mode
+    energy is diagonal and rotate_frame keeps it in the static harmonic,
+    which the average drops.
     """
     if (type(n_trunc) is bool or not isinstance(n_trunc, numbers.Integral)
             or not 2 <= n_trunc <= _MAX_TRUNCATION):
         raise ValueError(f"mode truncation must be >= 2 and <= {_MAX_TRUNCATION}, got {n_trunc}")
     ops = _ops(n_trunc)
     # full (non-rotating-wave) atom-field coupling i g (a^dag - a)(S+ + S-)
-    static = mode_freq * ops.number + params.omega0 * ops.sz + 1j * coupling * ops.coupling
+    static = params.omegaL * ops.number + params.omega0 * ops.sz + 1j * coupling * ops.coupling
     # transition-dipole and asymmetry drives, cos(w_L t) = (e^{iwt} + e^{-iwt})/2
     drive = 0.5 * params.rabi * ops.sx + 0.5 * params.g_asym * ops.sz
     return {-1: drive.copy(), 0: static, 1: drive}
@@ -161,7 +151,8 @@ def rotate_frame(h: dict, omegaL: float) -> dict:
 def second_order_average(h_osc: dict, omegaL: float, keep_max_harmonic: int = 1) -> dict:
     """-i H'' Int[H''] dt with the oscillatory antiderivative, Hermitized.
 
-    One product M_a Int[M_b] is formed per pair of harmonics; only the
+    One product M_a Int[M_b] is formed per pair of harmonics, summed with
+    its mirror, so that an n, -n pair enters as a commutator; only the
     harmonics with |n| <= keep_max_harmonic are Hermitized and returned.  The
     antiderivative constant is zero -- a nonzero choice would introduce
     secular growth, which is why a static input harmonic is rejected.
@@ -248,8 +239,7 @@ def compare_to_target(derived: dict, model: EffectiveModel) -> HeffReport:
 
 
 def _averaged(params: PhysicalParams, n_trunc: int, coupling: float):
-    # w_k a^dag a is diagonal: rotate_frame keeps it in harmonic 0, dropped below; any w_k will do
-    lab = build_lab_hamiltonian(params, n_trunc, params.omegaL, coupling)
+    lab = build_lab_hamiltonian(params, n_trunc, coupling)
     oscillating = rotate_frame(lab, params.omegaL)
     oscillating.pop(0, None)
     return second_order_average(oscillating, params.omegaL)
@@ -261,7 +251,7 @@ def verify_derivation(
     """Run the averaging pipeline and check the three coefficients.
 
     The mode couples with g = _COUPLING; its frequency reaches no
-    coefficient (see _averaged).  The pair-creation and
+    coefficient (see build_lab_hamiltonian).  The pair-creation and
     mode-displacement coefficients are read off the full averaged
     Hamiltonian (their operator patterns are orthogonal to every other
     second-order product).  The level-shift coefficient is read off a

@@ -81,6 +81,10 @@ class PhysicalParams:
         transition dipole (dimensionless).
     gamma0 : float
         Spontaneous decay rate at the reference frequency omega0 (1/s).
+
+    Each field holds a Python float (-0.0 as 0.0) of any finite real but a
+    bool, numpy scalars included: an np.float32 would keep from_physical in
+    float32.  A nan, an inf or an int past float range is a ConfigError.
     """
 
     omega0: float
@@ -93,7 +97,7 @@ class PhysicalParams:
         for name, v in vars(self).items():  # the fields, in order
             if not _finite_real(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))  # numpy's would carry its precision on
+            object.__setattr__(self, name, float(v) + 0.0)  # -0.0 + 0.0 is 0.0
         if self.omega0 <= 0:
             raise ConfigError("omega0 must be > 0")
         if self.omegaL <= 0:
@@ -120,7 +124,8 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Rabi-frequency grid over a fixed set of base parameters."""
+    """Rabi-frequency grid over a fixed set of base parameters; points is an
+    int from 2 to MAX_POINTS, and a bool is refused."""
 
     base: PhysicalParams
     omega_min: float = 1e11
@@ -183,7 +188,8 @@ class EffectiveModel:
     @property
     def pair_freq(self) -> float:
         """Emission frequency of the low-frequency partner photon,
-        omegaL - omega0 - bs_shift = -delta_eff (+0.0, not -0.0, at zero)."""
+        omegaL - omega0 - bs_shift = -delta_eff (+0.0, not -0.0, at zero);
+        a read, so dataclasses.replace(model, delta_eff=...) moves it too."""
         return 0.0 - self.delta_eff
 
 

@@ -139,12 +139,15 @@ def test_reconstruct_equals_the_accumulation_loop_bit_for_bit():
 
 def test_generator_equals_the_per_image_column_stack_bit_for_bit():
     """One hs_decompose over the stacked images gives the matrix that
-    decomposing each image and stacking the columns gives."""
+    decomposing each image and stacking the columns gives, and
+    _adjoint_image maps the stack of basis elements as it maps each alone."""
     for name, rabi_max in (("gamma-globulin", 4.9e13), ("gan-dot", 1e15)):
         for rabi in np.logspace(11.0, np.log10(rabi_max), 50):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # strong drive, closed pair channel
                 m = from_physical(with_rabi(preset(name), float(rabi)))
             h0 = m.delta_eff * SZ + 0.5 * m.omega_rabi * (SP + SM)
-            cols = [decompose_one(_adjoint_image(q, h0, _weights(m))) for q in HS_BASIS]
+            each = np.array([_adjoint_image(q, h0, _weights(m)) for q in HS_BASIS])
+            cols = [decompose_one(image) for image in each]
             assert np.array_equal(build_adjoint_generator(m).matrix, np.column_stack(cols).real)
+            assert np.array_equal(_adjoint_image(HS_BASIS, h0, _weights(m)), each)

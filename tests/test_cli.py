@@ -369,6 +369,14 @@ def test_steady_report(capsys):
     assert "pump       = 0.000134260426" in text
 
 
+def test_a_negative_zero_drive_is_a_magnitude_without_a_sign(capsys):
+    """rabi is stored as a magnitude: a -0.0 is held as +0.0, and steady
+    prints it without a sign."""
+    assert not np.signbit(PhysicalParams(omega0=5e15, omegaL=5.01e15, rabi=-0.0).rabi)
+    assert cli.main(["steady", "--preset", "gan-dot", "--rabi", "-0.0"]) == cli.EXIT_OK
+    assert "omega_rabi   = 0  1/s" in capsys.readouterr().out.splitlines()
+
+
 def test_steady_takes_the_default_gamma0(tmp_path, capsys):
     """A config that names only omega0 and omegaL takes gamma0 = 3e6 1/s:
     undriven, that is the optical rate gamma_R."""

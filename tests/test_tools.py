@@ -47,12 +47,17 @@ def test_the_mutation_script_exits_1_on_a_survivor(tmp_path, monkeypatch, rc, st
 
 def test_boundaries_move_and_refusals_go(tmp_path, monkeypatch):
     """Each ordering comparison of a chain moves its boundary on its own, and
-    a raise that spans lines becomes pass; equality is left alone."""
-    source = "def f(y):\n    if not 0 < y >= 2 == y:\n        raise ValueError(\n            y)\n"
+    a raise or an assert that spans lines becomes pass; equality is left
+    alone."""
+    head = "def f(y):\n    if not 0 < y >= 2 == y:\n"
+    refusal = "        raise ValueError(\n            y)\n"
+    assertion = "    assert y == 3, (\n        y)\n"
+    source = head + refusal + assertion
     assert check(tmp_path.resolve(), monkeypatch, source, 1) == (0, [
         source.replace("0 < y", "0 <= y"),
         source.replace("y >= 2", "y > 2"),
-        "def f(y):\n    if not 0 < y >= 2 == y:\n        pass\n",
+        head + "        pass\n" + assertion,
+        head + refusal + "    pass\n",
     ])
 
 

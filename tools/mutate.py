@@ -1,14 +1,16 @@
-"""Mutation check of a module's constants, boundaries and refusals against tier-1.
+"""Mutation check of a module's constants, boundaries, refusals and asserts against tier-1.
 
-Three kinds of mutant are made, one at a time:
+Four kinds of mutant are made, one at a time:
   * every float literal (docstrings are strings, so none of theirs) is
     multiplied by 10 and by 0.1;
   * every ordering comparison moves its boundary: < and <=, > and >= swap;
-  * every raise statement becomes pass.
+  * every raise statement becomes pass;
+  * every assert statement becomes pass.
 Each mutant is written into a temporary copy of the repository, never into
 the checkout, and tier-1 runs there with ``-x``.  A mutant the tests do not
 fail is a survivor: a constant that can move tenfold, a boundary that can
-move by one float, or a refusal that can go, unnoticed.
+move by one float, or a refusal or a check that can go, unnoticed.  The
+script uses the standard library only.
 
     python tools/mutate.py src/thzpair/dynamics.py
 
@@ -86,9 +88,9 @@ def mutations(source: str) -> list:
                     # the operator is the first such text past its left operand
                     start = source.index(old, at(left.end_lineno, left.end_col_offset))
                     out.append((start, start + len(old), new, f"{old} -> {new}"))
-        elif isinstance(node, ast.Raise):
+        elif isinstance(node, (ast.Raise, ast.Assert)):
             span = at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
-            out.append((*span, "pass", "raise -> pass"))
+            out.append((*span, "pass", f"{type(node).__name__.lower()} -> pass"))
     return sorted(out, key=lambda m: m[:2])  # stable: x10 before x0.1
 
 
