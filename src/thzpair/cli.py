@@ -69,11 +69,13 @@ def _sweep_point(base: model.PhysicalParams, omega: float) -> SweepRow:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list:
     """Evaluate the grid; one row per grid point, in grid order.
 
-    Rows are computed serially whatever ``workers`` is.  A point is a few
-    hundred microseconds of small-matrix numpy that holds the interpreter
-    lock, so a thread pool ran slower than serial (273 against 194 ms for the
-    default 200-point grid on a 2-core machine).  ``workers`` is still
-    accepted so that callers passing it keep working.
+    Rows are computed serially whatever ``workers`` is.  A point is about
+    0.5 ms of small-matrix numpy that holds the interpreter lock, so a
+    thread pool ran slower than serial: for the default 200-point gan-dot
+    grid on a 2-core machine, medians of 15 interleaved rounds read 91 ms
+    serial, 120 ms with 2 threads and 144 ms with 4 (a second run: 101, 130
+    and 153 ms).  ``workers`` is still accepted so that callers passing it
+    keep working.
     """
     return [_sweep_point(spec.base, w) for w in spec.grid().tolist()]
 

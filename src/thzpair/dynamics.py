@@ -333,7 +333,12 @@ def propagate_dual(g: AdjointGenerator, op: np.ndarray, t: float) -> np.ndarray:
     if not t * reach <= 1.0:
         raise ValueError(f"the propagator at t = {t!r} overflows double precision")
     if eigen is None:
-        u = expm(g.matrix.T * t)
+        ## the squarings of a dual*t with a huge norm can round to inf and NaN
+        ## even where the propagator itself is bounded
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = expm(g.matrix.T * t)
+        if not np.isfinite(u).all():
+            raise np.linalg.LinAlgError(f"the matrix exponential at t = {t!r} s is not finite")
     else:
         lam, v, vinv = eigen
         u = ((v * np.exp(lam * t)) @ vinv).real

@@ -23,6 +23,7 @@ use, not a restatement of their formulas.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -259,9 +260,20 @@ def verify_derivation(
     photon-number-dependent shift g^2/(2 w_L) * (a^dag a S+S- - a a^dag S-S+)
     -- a Lamb-type term outside the effective model, whose S_z component
     would otherwise pollute the comparison.
+
+    An average that is not finite raises LinAlgError.  A mode energy past
+    float range is not one: it stays in the static harmonic, which the
+    average drops.
     """
-    full = _averaged(params, n_trunc, _COUPLING)
-    drive_only = _averaged(params, n_trunc, 0.0)
-    from_full = compare_to_target(full, model).checks
-    from_drive = compare_to_target(drive_only, model).checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = _averaged(params, n_trunc, _COUPLING)
+        drive_only = _averaged(params, n_trunc, 0.0)
+        from_full = compare_to_target(full, model).checks
+        from_drive = compare_to_target(drive_only, model).checks
+    ## each measured coefficient projects a whole harmonic, 0 or +1 (-1 is the
+    ## adjoint of +1), and 0 * inf is NaN, so one non-finite entry anywhere in
+    ## either average leaves a coefficient non-finite
+    if not all(cmath.isfinite(c.measured) for c in from_full + from_drive):
+        raise np.linalg.LinAlgError(
+            "the averaged Hamiltonian is not finite: its products overflow double precision")
     return HeffReport((from_drive[0], *from_full[1:]))

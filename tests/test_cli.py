@@ -556,8 +556,10 @@ def test_generator_overflow_is_a_numerical_failure(tmp_path, capsys):
     cfg.write_text(OVERFLOW_CFG, encoding="utf-8")
     out = tmp_path / "x.csv"
     for argv in (["steady"], ["correlate", "--output", str(out)]):
-        with pytest.warns(model.PairChannelClosedWarning):  # a RuntimeWarning escapes, and fails
+        with pytest.warns(model.PairChannelClosedWarning) as caught:
             rc = cli.main([*argv, "--config", str(cfg)])
+        # pytest.warns re-emits any other warning past the suite's error filter
+        assert {w.category for w in caught} == {model.PairChannelClosedWarning}
         assert rc == cli.EXIT_DEGENERATE
         assert "error: the generator overflows double precision" in capsys.readouterr().err
     assert not out.exists()
@@ -740,6 +742,30 @@ def test_correlate_exits_2_when_the_collapsed_state_leaves_the_positive_cone(
     assert not out.exists()
 
 
+def test_correlate_names_a_matrix_exponential_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    """cond(V) = 8e10 puts this generator on the expm branch, where the 612
+    squarings at ||dual t||_1 = 4.2e184 round to NaN: exit 2, naming the delay
+    and the exponential, with no floating-point warning and no CSV."""
+    cfg = tmp_path / "expm.cfg"
+    cfg.write_text("omega0 = 1.2588327248521022e+200\nomegaL = 1.2588327248521022e+200\n"
+                   "rabi = 1.2588327248521022e+190\ndipole_ratio = 1.0\ngamma0 = 3e6\n",
+                   encoding="utf-8")
+    out = tmp_path / "x.csv"
+    calls, expm = [], dynamics.expm
+    monkeypatch.setattr(dynamics, "expm", lambda a: calls.append(a) or expm(a))
+    with pytest.warns(model.PairChannelClosedWarning) as caught:
+        rc = cli.main(["correlate", "--config", str(cfg), "--output", str(out),
+                       "--tau-points", "4"])
+    assert {w.category for w in caught} == {model.PairChannelClosedWarning}
+    assert rc == cli.EXIT_DEGENERATE
+    assert capsys.readouterr().err.endswith(
+        "error: the matrix exponential at t = 3.3333333333333333e-06 s is not finite\n")
+    # g12's four delays, all on the expm branch; the last, at ||dual t||_1 = 4.2e184, fails
+    assert [f"{np.linalg.norm(a, 1):.2g}" for a in calls] == ["0", "1.4e+184", "2.8e+184",
+                                                            "4.2e+184"]
+    assert not out.exists()
+
+
 # --- verify-heff ------------------------------------------------------------------
 
 
@@ -757,7 +783,34 @@ def test_verify_heff_passes_at_zero_drive(name, capsys):
     rc = cli.main(["verify-heff", "--preset", name, "--rabi", "0"])
     assert rc == cli.EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out.endswith("derivation check passed\n")
+    assert captured.out.endswith("\nderivation check passed\n")  # a line of its own
+    assert captured.err == ""
+
+
+def test_verify_heff_refuses_an_average_that_is_not_finite(tmp_path, capsys):
+    """g^2 / omegaL at omegaL = 2e-300 overflows the averaging products: exit 2
+    with the averaged Hamiltonian named, and no nan printed or warning shown."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("omega0 = 1e-300\nomegaL = 2e-300\nrabi = 1e-301\ndipole_ratio = 1\n",
+                   encoding="utf-8")
+    rc = cli.main(["verify-heff", "--config", str(cfg)])
+    assert rc == cli.EXIT_DEGENERATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the averaged Hamiltonian is not finite: its products "
+                            "overflow double precision\n")
+
+
+def test_verify_heff_passes_with_a_mode_energy_past_float_range(tmp_path, capsys):
+    """omegaL * a^dag a overflows at N = 3, but the mode energy sits in the
+    static harmonic, which the average drops: the undriven check passes with
+    nothing on stderr."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("omega0 = 1.3079155695860697e+308\nomegaL = 1.3092234851556556e+308\n"
+                   "rabi = 0\n", encoding="utf-8")
+    assert cli.main(["verify-heff", "--config", str(cfg)]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "derivation check passed"
     assert captured.err == ""
 
 
@@ -924,7 +977,7 @@ def test_cli_prints_a_physics_warning_as_one_line(tmp_path, child_env):
     )
     assert proc.returncode == cli.EXIT_DEGENERATE, proc.stderr
     assert ("warning: PerturbativeDriveWarning: rabi/omegaL > 0.25; second-order drive "
-            "corrections may be inaccurate\n") in proc.stderr
+            "corrections may be inaccurate") in proc.stderr.splitlines()
     assert ".py:" not in proc.stderr
 
 

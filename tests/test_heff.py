@@ -1,8 +1,7 @@
 """Numerical re-derivation of the effective-model coefficients."""
 
 import dataclasses
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -270,20 +269,25 @@ def test_zero_drive_reads_every_coefficient_as_zero(name):
         assert [(c.measured, c.target, c.deviation) for c in report.checks] == [(0j, 0j, 0.0)] * 3
 
 
-def test_verify_heff_does_not_load_numpy_ma(child_env):
-    """np.unique imports numpy.ma on its first call, a tenth of a cold
-    verify-heff run; the harmonic bookkeeping does without it."""
-    code = (
-        "import sys\n"
-        "from thzpair import cli\n"
-        "assert cli.main(['verify-heff', '--preset', 'gamma-globulin', '--rabi', '1e12']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+@pytest.mark.parametrize("harmonic", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_entry_anywhere_in_the_average_is_refused(monkeypatch, harmonic, bad):
+    """The entry (0, 2N+1) joins mode 0 to mode N and lies in no coefficient's
+    operator pattern; a non-finite value there still reaches every projection
+    of its harmonic, and -1 is +1's adjoint (test_average_is_hermitian)."""
+    average = heff.second_order_average
+
+    def poisoned(h_osc, omega_l):
+        out = average(h_osc, omega_l)
+        if out:
+            out[harmonic] = out[harmonic].copy()
+            out[harmonic][0, -1] = bad
+        return out
+
+    monkeypatch.setattr(heff, "second_order_average", poisoned)
+    params, model = working_point()
+    with pytest.raises(np.linalg.LinAlgError, match="the averaged Hamiltonian is not finite"):
+        verify_derivation(params, model)
 
 
 def test_bench_scores_heff_at_the_package_coupling(bench_workloads):
