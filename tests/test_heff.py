@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +290,22 @@ def test_a_non_finite_entry_anywhere_in_the_average_is_refused(monkeypatch, harm
     params, model = working_point()
     with pytest.raises(np.linalg.LinAlgError, match="the averaged Hamiltonian is not finite"):
         verify_derivation(params, model)
+
+
+def test_verify_heff_does_not_load_numpy_ma(child_env):
+    """np.unique imports numpy.ma on its first call, a tenth of a cold
+    verify-heff run; the harmonic bookkeeping does without it."""
+    code = (
+        "import sys\n"
+        "from thzpair import cli\n"
+        "assert cli.main(['verify-heff', '--preset', 'gamma-globulin', '--rabi', '1e12']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_bench_scores_heff_at_the_package_coupling(bench_workloads):
